@@ -516,17 +516,10 @@ def _add_serve(subparsers) -> None:
         "--watch-interval", type=float, default=2.0,
         help="seconds between version-pointer polls",
     )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="numpy",
-        help="lazy-engine kernel backend for forward passes (set before "
-        "workers fork, so the scale stack inherits it); compiled "
-        "backends silently fall back to numpy without a C toolchain",
-    )
     parser.set_defaults(func=_cmd_serve)
 
 
 def _cmd_serve(args) -> int:
-    set_backend(args.backend)
     from repro.serving import (
         PredictionService,
         ServingConfig,

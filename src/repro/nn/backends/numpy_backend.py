@@ -25,6 +25,8 @@ implementation of the backend seam (:mod:`repro.nn.backends`).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.nn.lazyir import thaw_key
@@ -57,6 +59,9 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # check is exact and the held reference pins the id against reuse.
 _FLAT_INDEX_CACHE: dict = {}
 _FLAT_INDEX_CAP = 256
+# Serving threads run forwards concurrently; two evicting at once would
+# pop the same oldest key and raise KeyError out of a forward.
+_FLAT_INDEX_LOCK = threading.Lock()
 
 
 def flat_scatter_index(index: np.ndarray, cols: int) -> np.ndarray:
@@ -66,9 +71,10 @@ def flat_scatter_index(index: np.ndarray, cols: int) -> np.ndarray:
     if hit is not None and hit[0] is index:
         return hit[1]
     flat = (index[:, None] * cols + np.arange(cols)).ravel()
-    if len(_FLAT_INDEX_CACHE) >= _FLAT_INDEX_CAP:
-        _FLAT_INDEX_CACHE.pop(next(iter(_FLAT_INDEX_CACHE)))
-    _FLAT_INDEX_CACHE[key] = (index, flat)
+    with _FLAT_INDEX_LOCK:
+        if len(_FLAT_INDEX_CACHE) >= _FLAT_INDEX_CAP:
+            _FLAT_INDEX_CACHE.pop(next(iter(_FLAT_INDEX_CACHE)))
+        _FLAT_INDEX_CACHE[key] = (index, flat)
     return flat
 
 

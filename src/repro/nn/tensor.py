@@ -18,7 +18,9 @@ Two execution engines share this class:
   so backward passes fuse too and a whole training step realizes in one
   batched execution.
 - the **eager engine** (inside :func:`eager`): the original
-  op-at-a-time numpy path, kept verbatim as the equivalence oracle.
+  op-at-a-time numpy path, kept verbatim as the equivalence oracle and
+  used for inference, whose ever-changing batch shapes would give the
+  lazy engine a new plan to compile per call.
 
 The two are **bitwise identical** — lazy kernels replay the exact numpy
 call sequence of the eager ops (``tests/test_nn_lazy_equivalence.py``
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -49,26 +52,40 @@ from repro.nn.backends.numpy_backend import rowwise_matmul  # noqa: F401
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
 
-_GRAD_ENABLED = True
-_BATCH_INVARIANT = False
-_LAZY_ENABLED = True
+
+class _EngineModes(threading.local):
+    """The engine mode flags, one set per thread.
+
+    Serving runs forwards on several threads at once (handler threads
+    with batching off, chunked micro-batches across executor workers),
+    and a training loop may share the process. Per-thread flags mean one
+    thread leaving ``batch_invariant()`` or ``eager()`` never changes
+    the kernels or the engine under another thread's ops. Class
+    attributes are the defaults every new thread starts from.
+    """
+
+    grad_enabled = True
+    batch_invariant = False
+    lazy_enabled = True
+
+
+_MODES = _EngineModes()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _MODES.grad_enabled
+    _MODES.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _MODES.grad_enabled = previous
 
 
 def is_grad_enabled() -> bool:
     """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _MODES.grad_enabled
 
 
 @contextlib.contextmanager
@@ -85,20 +102,19 @@ def batch_invariant():
 
     The lazy engine captures this flag when the matmul is *recorded*,
     not when the graph is realized, matching eager semantics even when
-    results are forced after the context exits (serving's ``predict``).
+    results are forced after the context exits.
     """
-    global _BATCH_INVARIANT
-    previous = _BATCH_INVARIANT
-    _BATCH_INVARIANT = True
+    previous = _MODES.batch_invariant
+    _MODES.batch_invariant = True
     try:
         yield
     finally:
-        _BATCH_INVARIANT = previous
+        _MODES.batch_invariant = previous
 
 
 def is_batch_invariant() -> bool:
     """Whether matmuls currently use the batch-invariant kernel."""
-    return _BATCH_INVARIANT
+    return _MODES.batch_invariant
 
 
 @contextlib.contextmanager
@@ -109,18 +125,17 @@ def eager():
     the original implementation, retained as the bitwise oracle for the
     lazy engine and for debugging (values exist as soon as the op runs).
     """
-    global _LAZY_ENABLED
-    previous = _LAZY_ENABLED
-    _LAZY_ENABLED = False
+    previous = _MODES.lazy_enabled
+    _MODES.lazy_enabled = False
     try:
         yield
     finally:
-        _LAZY_ENABLED = previous
+        _MODES.lazy_enabled = previous
 
 
 def is_lazy_enabled() -> bool:
     """Whether operations currently record lazy graphs (vs eager)."""
-    return _LAZY_ENABLED
+    return _MODES.lazy_enabled
 
 
 _SCALAR_TYPES = (int, float, np.integer, np.floating)
@@ -176,14 +191,14 @@ class Tensor:
         if isinstance(data, Tensor):
             self._data = data._data
             self._node = data._node
-            if self._data is None and not _LAZY_ENABLED:
+            if self._data is None and not _MODES.lazy_enabled:
                 self._data = data.data
         else:
             self._data = np.asarray(data, dtype=np.float64)
             self._node = None
         self._grad: Optional[np.ndarray] = None
         self._grad_node = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _MODES.grad_enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._vjp = None
         self._parents: Tuple["Tensor", ...] = ()
@@ -285,7 +300,9 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _MODES.grad_enabled and any(
+            p.requires_grad for p in parents
+        )
         out = Tensor(data)
         out.requires_grad = requires
         if requires:
@@ -429,7 +446,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             operand, other_t = _lazy_operand(other)
             node = lazyir.alu("add", self._lazy_node(), operand)
 
@@ -452,7 +469,7 @@ class Tensor:
         return self.__add__(other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             operand, other_t = _lazy_operand(other)
             node = lazyir.alu("sub", self._lazy_node(), operand)
 
@@ -475,7 +492,7 @@ class Tensor:
         return _as_tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             operand, other_t = _lazy_operand(other)
             self_node = self._lazy_node()
             node = lazyir.alu("mul", self_node, operand)
@@ -500,7 +517,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             operand, other_t = _lazy_operand(other)
             self_node = self._lazy_node()
             node = lazyir.alu("div", self_node, operand)
@@ -532,7 +549,7 @@ class Tensor:
         return _as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             node = lazyir.alu1("neg", self._lazy_node())
 
             def vjp(g) -> None:
@@ -547,7 +564,7 @@ class Tensor:
 
     def __pow__(self, exponent) -> "Tensor":
         exponent = _normalize_exponent(exponent)
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             node = lazyir.alu("pow", self_node, exponent)
 
@@ -573,11 +590,13 @@ class Tensor:
         other = _as_tensor(other)
         if self.ndim != 2 or other.ndim != 2:
             raise ModelError("matmul supports 2-D tensors only")
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node, other_node = self._lazy_node(), other._lazy_node()
             # Batch-invariant mode captured at record time (see
             # batch_invariant()): realizing later must not change kernels.
-            node = lazyir.matmul_node(self_node, other_node, _BATCH_INVARIANT)
+            node = lazyir.matmul_node(
+                self_node, other_node, _MODES.batch_invariant
+            )
 
             def vjp(g) -> None:
                 self._acc_node(lazyir.matmul_nt(g, other_node))
@@ -593,7 +612,7 @@ class Tensor:
 
         product = (
             rowwise_matmul(self_data, other_data)
-            if _BATCH_INVARIANT
+            if _MODES.batch_invariant
             else self_data @ other_data
         )
         return Tensor._make(product, (self, other), backward)
@@ -603,7 +622,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             node = lazyir.alu1("exp", self._lazy_node())
 
             def vjp(g) -> None:
@@ -620,7 +639,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Elementwise natural log."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             node = lazyir.alu1("log", self_node)
 
@@ -638,7 +657,7 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             node = lazyir.alu1("sqrt", self._lazy_node())
 
             def vjp(g) -> None:
@@ -657,7 +676,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise tanh."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             node = lazyir.alu1("tanh", self._lazy_node())
 
             def vjp(g) -> None:
@@ -680,7 +699,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             # Same call sequence as eager: 1 / (1 + exp(-x)).
             node = lazyir.alu(
@@ -711,7 +730,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         """Elementwise ReLU."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             mask = lazyir.alu1("gt0", self_node)
             node = lazyir.alu("mul", self_node, mask)
@@ -730,7 +749,7 @@ class Tensor:
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         """Elementwise LeakyReLU (GAT's attention nonlinearity)."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             mask = lazyir.alu1("gt0", self_node)
             slope_grad = lazyir.where_node(mask, 1.0, negative_slope)
@@ -757,7 +776,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (sign subgradient at 0 is 0)."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             sign = lazyir.alu1("sign", self_node)
             node = lazyir.alu1("abs", self_node)
@@ -779,7 +798,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all axes when None)."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_shape = self.shape
             node = lazyir.reduce_node("sum", self._lazy_node(), axis, keepdims)
 
@@ -800,7 +819,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Mean over ``axis``."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_shape = self.shape
             count = (
                 self.size
@@ -837,7 +856,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max over ``axis``; gradient splits equally among ties."""
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_node = self._lazy_node()
             self_shape = self.shape
             node = lazyir.reduce_node("max", self_node, axis, keepdims)
@@ -884,7 +903,7 @@ class Tensor:
         """Reshape (accepts a tuple or varargs)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_shape = self.shape
             resolved = lazyir.resolve_reshape(self_shape, shape)
             node = lazyir.reshape_node(self._lazy_node(), resolved)
@@ -905,7 +924,7 @@ class Tensor:
         """2-D transpose."""
         if self.ndim != 2:
             raise ModelError("transpose supports 2-D tensors only")
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             node = lazyir.transpose_node(self._lazy_node())
 
             def vjp(g) -> None:
@@ -924,7 +943,7 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
-        if _LAZY_ENABLED:
+        if _MODES.lazy_enabled:
             self_shape = self.shape
             node = lazyir.getitem_node(self._lazy_node(), key)
 
@@ -974,7 +993,7 @@ def _lazy_result(node, parents: Tuple[Tensor, ...], vjp) -> Tensor:
     out._grad = None
     out._grad_node = None
     out._backward = None
-    if _GRAD_ENABLED and parents:
+    if _MODES.grad_enabled and parents:
         n = len(parents)
         p0 = parents[0]
         if n == 1:
@@ -1053,7 +1072,7 @@ def _expand_node(g, shape: Tuple[int, ...], axis):
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``."""
     tensors = [_as_tensor(t) for t in tensors]
-    if _LAZY_ENABLED:
+    if _MODES.lazy_enabled:
         node = lazyir.concat_node([t._lazy_node() for t in tensors], axis)
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
@@ -1083,7 +1102,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis``."""
     tensors = [_as_tensor(t) for t in tensors]
-    if _LAZY_ENABLED:
+    if _MODES.lazy_enabled:
         node = lazyir.stack_node([t._lazy_node() for t in tensors], axis)
         out_ndim = len(node.shape)
         norm_axis = axis % out_ndim
@@ -1120,7 +1139,7 @@ def where(condition, a: ArrayLike, b: ArrayLike) -> Tensor:
         condition.data if isinstance(condition, Tensor) else condition,
         dtype=bool,
     )
-    if _LAZY_ENABLED:
+    if _MODES.lazy_enabled:
         cond_node = lazyir.buffer(condition)
         node = lazyir.where_node(cond_node, a._lazy_node(), b._lazy_node())
 

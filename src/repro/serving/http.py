@@ -88,6 +88,27 @@ def graph_from_payload(
     )
 
 
+def parse_content_length(value: Optional[str]) -> int:
+    """The body length a ``Content-Length`` header announces.
+
+    An absent header means no body. Anything but a plain decimal count
+    up to :data:`MAX_REQUEST_BYTES` raises :class:`ReproError` (a 400):
+    a bare ``int()`` raises ``ValueError`` on ``abc`` and accepts
+    ``-5``, ``+5`` and ``1_0``.
+    """
+    if value is None:
+        return 0
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ReproError(f"Content-Length {value!r} is not a byte count")
+    length = int(text)
+    if length > MAX_REQUEST_BYTES:
+        raise ReproError(
+            f"body length {length} exceeds the {MAX_REQUEST_BYTES}-byte cap"
+        )
+    return length
+
+
 def _check_request_size(
     num_nodes: int, num_edges: int, max_nodes: int, max_edges: int
 ) -> None:
@@ -111,6 +132,9 @@ def _make_handler(
 ):
     class ServingHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket: a response never waits
+        # on the client's delayed ACK of an earlier segment.
+        disable_nagle_algorithm = True
 
         # ------------------------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 — http.server API
@@ -125,12 +149,15 @@ def _make_handler(
             if self.path != "/predict":
                 self._send(404, {"error": f"no route {self.path!r}"})
                 return
-            length = int(self.headers.get("Content-Length", 0))
-            if length <= 0 or length > MAX_REQUEST_BYTES:
-                self._send(
-                    400,
-                    {"error": f"body length {length} outside (0, {MAX_REQUEST_BYTES}]"},
+            try:
+                length = parse_content_length(
+                    self.headers.get("Content-Length")
                 )
+            except ReproError as exc:
+                # The body's extent is unknown, so the connection cannot
+                # carry another request.
+                self.close_connection = True
+                self._send(400, {"error": str(exc)})
                 return
             try:
                 body = self.rfile.read(length)
@@ -168,18 +195,28 @@ def _make_handler(
         def _send(self, status: int, payload: dict) -> None:
             """Write one JSON response, tolerating client disconnects.
 
+            Status line, headers and body leave in one write: with
+            ``end_headers()`` the head goes out as a small segment of
+            its own, and the body behind it waits for the client's
+            delayed (~40 ms) ACK whenever Nagle's algorithm is on.
+
             A client that hangs up mid-response used to raise
             ``BrokenPipeError`` out of the handler and stack-trace the
             server thread; there is nobody left to answer, so log,
             count it, and drop the connection instead.
             """
             body = json.dumps(payload).encode()
+            self.log_request(status)
+            head = (
+                f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            )
             try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(head.encode("latin-1") + body)
             except (BrokenPipeError, ConnectionResetError) as exc:
                 service.metrics.record_dropped_response()
                 self.close_connection = True

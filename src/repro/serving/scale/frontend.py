@@ -52,6 +52,7 @@ from repro.serving.http import (
     DEFAULT_MAX_REQUEST_NODES,
     MAX_REQUEST_BYTES,
     graph_from_payload,
+    parse_content_length,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
@@ -249,6 +250,12 @@ class ScaleServingServer:
                     asyncio.LimitOverrunError,
                 ):
                     break
+                except ReproError as exc:
+                    # A bad Content-Length leaves the body's extent
+                    # unknown: answer 400, then close (the transport
+                    # flushes the answer before it shuts).
+                    writer.write(self._render(400, {"error": str(exc)}))
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -285,7 +292,11 @@ class ScaleServingServer:
                 pass
 
     async def _read_request(self, reader):
-        """One HTTP/1.1 request, or ``None`` at a clean EOF."""
+        """One HTTP/1.1 request, or ``None`` at a clean EOF.
+
+        Raises :class:`ReproError` for a ``Content-Length`` that is not
+        a byte count within the body cap.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -302,9 +313,7 @@ class ScaleServingServer:
             headers[name.strip().lower()] = value.strip()
         else:
             return None  # header bomb; drop the connection
-        length = int(headers.get("content-length", 0) or 0)
-        if length < 0 or length > MAX_REQUEST_BYTES:
-            return None
+        length = parse_content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
+import statistics
+import time
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import QAOADataset
 from repro.data.generation import GenerationConfig, generate_dataset
 from repro.graphs.graph import Graph
-from repro.graphs.generators import random_regular_graph
+from repro.graphs.generators import erdos_renyi_graph, random_regular_graph
 
 
 @pytest.fixture
@@ -48,3 +54,40 @@ def tiny_dataset():
         num_graphs=24, min_nodes=4, max_nodes=8, optimizer_iters=30, seed=99
     )
     return generate_dataset(config)
+
+
+@pytest.fixture
+def keepalive_predict_median_ms():
+    """Median latency of 30 back-to-back ``/predict`` calls over one
+    keep-alive TCP_NODELAY connection, as ``measure(port)``.
+
+    A server that sends a response's head and body as separate small
+    segments stalls each call for the client's delayed ACK (~40 ms).
+    """
+
+    def measure(port: int, calls: int = 30) -> float:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        connection.connect()
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        latencies = []
+        try:
+            for i in range(calls):
+                graph = erdos_renyi_graph(6 + i % 8, 0.5, rng=500 + i)
+                body = json.dumps(
+                    {"num_nodes": graph.num_nodes,
+                     "edges": [list(e) for e in graph.edges]}
+                )
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/predict", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                latencies.append((time.perf_counter() - start) * 1e3)
+                assert response.status == 200
+        finally:
+            connection.close()
+        return statistics.median(latencies)
+
+    return measure

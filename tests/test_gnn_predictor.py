@@ -1,5 +1,8 @@
 """Tests for pooling and the QAOA parameter predictor."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,12 @@ from repro.gnn.predictor import (
     GNNEncoder,
     QAOAParameterPredictor,
 )
+from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.graph import Graph
 from repro.nn.optim import Adam
 from repro.nn.losses import mse_loss
-from repro.nn.tensor import Tensor
+from repro.nn.realize import clear_plan_cache, plan_cache_size
+from repro.nn.tensor import Tensor, batch_invariant, no_grad
 
 
 class TestPooling:
@@ -114,6 +119,69 @@ class TestPredictor:
         a = model.predict([petersen_like])
         b = model.predict([petersen_like])
         np.testing.assert_allclose(a, b)
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "gin", "sage"])
+    def test_predict_is_eager_and_matches_lazy_forward(self, arch):
+        # Each batch is a shape no plan was built for; an eager forward
+        # compiles none, and its rows equal the lazy engine's bit for bit.
+        model = QAOAParameterPredictor(arch=arch, p=2, hidden_dim=16, rng=5)
+        model.eval()
+        sizes = iter([6, 7, 9, 5, 8, 10, 11, 12, 13, 14])
+        clear_plan_cache()
+        for count in (1, 2, 7):
+            graphs = [
+                erdos_renyi_graph(next(sizes), 0.5, rng=40 + i)
+                for i in range(count)
+            ]
+            before = plan_cache_size()
+            rows = model.predict(graphs)
+            assert plan_cache_size() == before
+            batch = GraphBatch.from_graphs(
+                graphs,
+                feature_kind=model.feature_kind,
+                max_nodes=model.feature_budget,
+            )
+            with no_grad(), batch_invariant():
+                lazy = model.forward(batch).data
+            assert rows.shape == (count, 4)
+            assert rows.tobytes() == lazy.tobytes()
+
+    def test_concurrent_predicts_match_serial(self):
+        # More threads than cores and a tiny switch interval. Enough new
+        # graphs to keep the flat scatter-index cache evicting, so
+        # unlocked evictions or process-wide mode flags would show.
+        model = QAOAParameterPredictor(arch="gin", p=1, hidden_dim=16, rng=3)
+        model.eval()
+        graphs = [
+            erdos_renyi_graph(6 + i % 10, 0.5, rng=700 + i) for i in range(400)
+        ]
+        serial = [model.predict([graph]).tobytes() for graph in graphs]
+        concurrent = [None] * len(graphs)
+        errors = []
+        workers = 8
+
+        def work(start):
+            try:
+                for i in range(start, len(graphs), workers):
+                    concurrent[i] = model.predict([graphs[i]]).tobytes()
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(k,)) for k in range(workers)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert concurrent == serial
 
     def test_predict_restores_training_mode(self, petersen_like):
         model = QAOAParameterPredictor(arch="gin", p=1, rng=0)

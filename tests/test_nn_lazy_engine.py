@@ -1,13 +1,24 @@
 """Unit tests for the lazy engine internals: IR recording, fusion,
 plan caching, arena accounting, and profiler counter attribution."""
 
+import threading
+
 import numpy as np
+import pytest
 
 from repro.exceptions import ModelError
-from repro.nn import Tensor, eager, is_lazy_enabled, where
+from repro.nn import (
+    Tensor,
+    eager,
+    is_grad_enabled,
+    is_lazy_enabled,
+    no_grad,
+    where,
+)
 from repro.nn import lazyir
 from repro.nn import realize as realize_mod
 from repro.nn.realize import clear_plan_cache, counters, plan_cache_size
+from repro.nn.tensor import batch_invariant, is_batch_invariant
 from repro.profiling import TrainingProfiler
 
 
@@ -58,6 +69,61 @@ class TestRecording:
         assert y.ndim == 2
         assert y.size == 3
         assert y._data is None  # shape inference did not realize
+
+
+class TestModeFlagsPerThread:
+    @pytest.mark.parametrize(
+        "mode, is_on, inside",
+        [
+            (batch_invariant, is_batch_invariant, True),
+            (eager, is_lazy_enabled, False),
+            (no_grad, is_grad_enabled, False),
+        ],
+    )
+    def test_other_thread_leaving_a_mode_keeps_ours(self, mode, is_on, inside):
+        # B enters first and leaves while A is inside: with one flag per
+        # process, B's exit restored the value B saw on entry under A.
+        b_inside, a_inside, b_left = (
+            threading.Barrier(2, timeout=10) for _ in range(3)
+        )
+        seen = {}
+
+        def thread_a():
+            b_inside.wait()
+            with mode():
+                a_inside.wait()
+                b_left.wait()
+                seen["inside"] = is_on()
+            seen["after"] = is_on()
+
+        def thread_b():
+            with mode():
+                b_inside.wait()
+                a_inside.wait()
+            b_left.wait()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"inside": inside, "after": not inside}
+        assert is_on() is not inside
+
+    def test_new_thread_starts_from_defaults(self):
+        seen = []
+        with eager(), batch_invariant(), no_grad():
+            thread = threading.Thread(
+                target=lambda: seen.append(
+                    (is_lazy_enabled(), is_batch_invariant(),
+                     is_grad_enabled())
+                )
+            )
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [(True, False, True)]
 
 
 class TestFusion:

@@ -16,6 +16,7 @@ from repro.serving import (
     ServingHTTPServer,
     graph_from_payload,
 )
+from repro.serving.http import MAX_REQUEST_BYTES, parse_content_length
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,25 @@ class TestGraphFromPayload:
             graph_from_payload([1, 2, 3])
 
 
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "value, expected", [(None, 0), ("0", 0), ("12", 12), (" 7 ", 7)]
+    )
+    def test_byte_counts_parse(self, value, expected):
+        assert parse_content_length(value) == expected
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "", "-5", "+5", "1_0", "1e3", "\u0661\u0662"]
+    )
+    def test_non_counts_raise_repro_error(self, value):
+        with pytest.raises(ReproError, match="not a byte count"):
+            parse_content_length(value)
+
+    def test_over_the_cap_raises_repro_error(self):
+        with pytest.raises(ReproError, match="exceeds"):
+            parse_content_length(str(MAX_REQUEST_BYTES + 1))
+
+
 class TestHTTPEndpoints:
     def test_predict_round_trip(self, server):
         status, body = post(
@@ -125,14 +145,24 @@ class TestHTTPEndpoints:
         assert "num_nodes" in body["error"]
 
     def test_invalid_json_is_400(self, server):
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/predict",
-            data=b"{not json",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 400
+        for headers in (
+            {"Content-Type": "application/json"},
+            {"Content-Type": "application/json", "Content-Length": "abc"},
+        ):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/predict",
+                data=b"{not json",
+                headers=headers,
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+
+    def test_keepalive_predicts_do_not_stall(
+        self, server, keepalive_predict_median_ms
+    ):
+        assert keepalive_predict_median_ms(server.port) < 20.0
 
     def test_unknown_route_is_404(self, server):
         status, body = post(server, "/frobnicate", {})
@@ -233,15 +263,30 @@ class TestClientDisconnects:
         assert service.metrics.dropped_responses == 1
 
     def test_intact_pipe_still_writes(self):
-        import io
-
         service = PredictionService(config=ServingConfig())
-        buffer = io.BytesIO()
-        handler = self._bare_handler(service, buffer)
+
+        class RecordingWfile:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+            def flush(self):
+                pass
+
+        wfile = RecordingWfile()
+        handler = self._bare_handler(service, wfile)
         handler._send(200, {"ok": True})
-        written = buffer.getvalue()
-        assert b"200" in written
-        assert b'{"ok": true}' in written
+        # One write carries the whole response: a head written on its
+        # own leaves the body waiting for the client's delayed ACK.
+        assert len(wfile.writes) == 1
+        head, blank, body = wfile.writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nContent-Type: application/json" in head
+        assert b"\r\nContent-Length: 12" in head
+        assert blank == b"\r\n\r\n"
+        assert body == b'{"ok": true}'
         assert service.metrics.dropped_responses == 0
 
     def test_dropped_responses_surface_in_metrics_snapshot(self):

@@ -162,14 +162,24 @@ class TestHealthAndMetrics:
         assert "worker_breakers" in payload["admission"]
 
     def test_bad_payload_is_400(self, server):
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/predict",
-            data=b"not json",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        for headers in (
+            {"Content-Type": "application/json"},
+            {"Content-Type": "application/json", "Content-Length": "abc"},
+        ):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/predict",
+                data=b"not json",
+                headers=headers,
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+
+    def test_keepalive_predicts_do_not_stall(
+        self, server, keepalive_predict_median_ms
+    ):
+        assert keepalive_predict_median_ms(server.port) < 20.0
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
