@@ -1,9 +1,9 @@
 """Serving benchmarks: cache and micro-batching under concurrent load.
 
-``perf``-marked like the other runtime benchmarks — excluded from the
-fast suite and run via ``repro bench`` / ``pytest -m perf``. Appends the
-serving throughput numbers to the ``BENCH_1.json`` trajectory so future
-PRs can regress cache hit rate, batch occupancy, and latency.
+``perf``-marked — excluded from the fast suite and run via
+``pytest -m perf``. Appends the serving throughput numbers to the
+``BENCH_1.json`` and ``BENCH_5.json`` trajectories at the repository
+root.
 """
 
 from pathlib import Path

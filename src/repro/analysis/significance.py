@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,10 @@ class SignificanceReport:
 
 def paired_significance(improvements) -> SignificanceReport:
     """Run all three paired tests on per-instance improvements (pp)."""
+    # Imported here, not at module top: scipy.stats costs ~0.5 s and
+    # ~40 MB, and every command imports this module via repro.analysis.
+    from scipy import stats
+
     values = np.asarray(list(improvements), dtype=np.float64)
     if values.size < 2:
         raise ValueError("need at least two paired comparisons")

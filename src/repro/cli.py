@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Seven subcommands cover the offline pipeline and the online service:
+Seven subcommands cover the offline pipeline and the online service
+(performance is measured by the ``perfbench/`` harness, not the CLI):
 
 - ``repro generate`` — sample + label a dataset, save it to JSON
   (``--backend process --workers N`` parallelizes labeling with
@@ -10,9 +11,8 @@ Seven subcommands cover the offline pipeline and the online service:
   or hung workers).
 - ``repro train`` — train one architecture on a saved dataset, save a
   versioned model checkpoint (``--profile`` prints the per-phase
-  wall-time report; ``--no-batch-cache`` / ``--fast-kernels`` toggle
-  the cached-batch and CSR-kernel paths; ``--backend cstyle|threaded``
-  runs fused groups as compiled C kernels, bit-identical to numpy).
+  wall-time report; ``--no-batch-cache`` rebuilds every mini-batch from
+  raw graphs, bit-identical to the cached default).
 - ``repro evaluate`` — warm-start evaluation of a saved model against
   random initialization on a saved dataset's held-out split
   (``--batched`` runs the size-bucketed lock-step engine — identical
@@ -23,15 +23,8 @@ Seven subcommands cover the offline pipeline and the online service:
   (isomorphism-aware cache, micro-batching, fallback chain).
 - ``repro predict`` — one-shot prediction for a single graph, printed
   as JSON.
-- ``repro bench`` — run the kernel / labeling / serving / training /
-  evaluation / engine / backend benchmarks; kernel results append to
-  ``BENCH_1.json``, training throughput to ``BENCH_2.json``,
-  evaluation-sweep throughput to ``BENCH_3.json``, lazy-vs-eager
-  engine throughput to ``BENCH_4.json``, the kernel-backend sweep
-  (numpy vs compiled) to ``BENCH_6.json``, and the size-generalization
-  sweep (train on n<=10, score angles at n in {50,100,200}) to
-  ``BENCH_7.json``. No trajectory file is written unless every
-  requested section finishes.
+- ``repro flywheel`` — closed-loop cycles: replay log → select →
+  relabel → retrain → gated promotion → hot-swap.
 
 Example::
 
@@ -40,7 +33,6 @@ Example::
     python -m repro.cli serve --model model.json --port 8000
     python -m repro.cli predict --model model.json --edges 0-1,1-2,2-0
     python -m repro.cli reproduce --num-graphs 100 --test-size 20
-    python -m repro.cli bench --out BENCH_1.json --graphs 200
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.tables import format_table1
-from repro.nn.backends import BACKEND_NAMES, set_backend
 from repro.data.dataset import QAOADataset
 from repro.data.generation import (
     LABEL_METHODS,
@@ -226,30 +217,11 @@ def _add_train(subparsers) -> None:
         "--no-batch-cache", action="store_true",
         help="rebuild every mini-batch from raw graphs (the seed loop)",
     )
-    parser.add_argument(
-        "--fast-kernels", action="store_true",
-        help="CSR reduceat segment kernels (last-ulp numerics, faster)",
-    )
-    parser.add_argument(
-        "--engine", choices=("lazy", "eager"), default="lazy",
-        help="tensor engine: lazy fused kernels (default, bit-identical)"
-        " or the op-at-a-time eager oracle",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="numpy",
-        help="lazy-engine kernel backend: numpy (reference), cstyle "
-        "(fused groups compiled to C, bit-identical), or threaded "
-        "(compiled + outer-loop tiling); compiled backends silently "
-        "fall back to numpy when no C toolchain is available",
-    )
     parser.add_argument("--out", type=Path, required=True)
     parser.set_defaults(func=_cmd_train)
 
 
 def _cmd_train(args) -> int:
-    # Silent toolchain fallback: the effective name may be "numpy" even
-    # when a compiled backend was requested (ctoolchain logs the why).
-    set_backend(args.backend)
     dataset = QAOADataset.load(args.dataset)
     model = QAOAParameterPredictor(
         arch=args.arch,
@@ -266,9 +238,7 @@ def _cmd_train(args) -> int:
             epochs=args.epochs,
             seed=args.seed,
             compile_batches=not args.no_batch_cache,
-            csr_kernels=args.fast_kernels,
             profile=args.profile,
-            engine=args.engine,
         ),
     )
     history = trainer.fit(dataset)
@@ -994,235 +964,6 @@ def _probe_graph(seed: int) -> Graph:
     )[0]
 
 
-def _add_bench(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "bench",
-        help="run kernel/labeling benchmarks, append to a BENCH_*.json",
-    )
-    parser.add_argument("--out", type=Path, default=Path("BENCH_1.json"))
-    parser.add_argument(
-        "--graphs", type=int, default=200,
-        help="dataset size for the labeling benchmark",
-    )
-    parser.add_argument(
-        "--backends", type=str, default="serial,process",
-        help="comma-separated backends for the labeling benchmark",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--kernel-repeats", type=int, default=10)
-    parser.add_argument(
-        "--skip-labeling", action="store_true",
-        help="skip the (slow) labeling benchmark",
-    )
-    parser.add_argument(
-        "--skip-serving", action="store_true",
-        help="skip the serving-throughput benchmark",
-    )
-    parser.add_argument(
-        "--serving-graphs", type=int, default=32,
-        help="request count per phase of the serving benchmark",
-    )
-    parser.add_argument(
-        "--skip-training", action="store_true",
-        help="skip the training-throughput benchmark",
-    )
-    parser.add_argument(
-        "--training-out", type=Path, default=Path("BENCH_2.json"),
-        help="trajectory file for the training benchmark",
-    )
-    parser.add_argument(
-        "--training-graphs", type=int, default=128,
-        help="dataset size for the training benchmark",
-    )
-    parser.add_argument(
-        "--training-epochs", type=int, default=8,
-        help="epochs per arm of the training benchmark",
-    )
-    parser.add_argument(
-        "--skip-evaluation", action="store_true",
-        help="skip the evaluation-sweep benchmark",
-    )
-    parser.add_argument(
-        "--evaluation-out", type=Path, default=Path("BENCH_3.json"),
-        help="trajectory file for the evaluation benchmark",
-    )
-    parser.add_argument(
-        "--evaluation-graphs", type=int, default=100,
-        help="test-set size for the evaluation benchmark",
-    )
-    parser.add_argument(
-        "--evaluation-iters", type=int, default=60,
-        help="optimizer iterations per arm of the evaluation benchmark",
-    )
-    parser.add_argument(
-        "--skip-fusion", action="store_true",
-        help="skip the lazy-vs-eager engine benchmark",
-    )
-    parser.add_argument(
-        "--fusion-out", type=Path, default=Path("BENCH_4.json"),
-        help="trajectory file for the engine benchmark",
-    )
-    parser.add_argument(
-        "--fusion-graphs", type=int, default=128,
-        help="dataset size for the engine benchmark",
-    )
-    parser.add_argument(
-        "--fusion-epochs", type=int, default=8,
-        help="epochs per arm of the engine benchmark",
-    )
-    parser.add_argument(
-        "--fusion-reps", type=int, default=3,
-        help="interleaved timing reps per arm of the engine benchmark",
-    )
-    parser.add_argument(
-        "--skip-scale-serving", action="store_true",
-        help="skip the multi-process scale-serving benchmark",
-    )
-    parser.add_argument(
-        "--scale-out", type=Path, default=Path("BENCH_5.json"),
-        help="trajectory file for the scale-serving benchmark",
-    )
-    parser.add_argument(
-        "--scale-workers", type=int, default=2,
-        help="worker processes for the scale-serving benchmark",
-    )
-    parser.add_argument(
-        "--scale-duration", type=float, default=2.0,
-        help="seconds per load-generator arm of the scale benchmark",
-    )
-    parser.add_argument(
-        "--skip-backends", action="store_true",
-        help="skip the kernel-backend sweep (numpy vs cstyle vs threaded)",
-    )
-    parser.add_argument(
-        "--backends-out", type=Path, default=Path("BENCH_6.json"),
-        help="trajectory file for the kernel-backend sweep",
-    )
-    parser.add_argument(
-        "--backends-graphs", type=int, default=128,
-        help="dataset size for the kernel-backend sweep",
-    )
-    parser.add_argument(
-        "--backends-epochs", type=int, default=8,
-        help="epochs per arm of the kernel-backend sweep",
-    )
-    parser.add_argument(
-        "--backends-batch-size", type=int, default=32,
-        help="mini-batch size for the BENCH_4-comparable sweep workload",
-    )
-    parser.add_argument(
-        "--backends-full-batch-size", type=int, default=None,
-        help="batch size for the kernel-bound full-batch sweep workload "
-        "(default: one batch per epoch)",
-    )
-    parser.add_argument(
-        "--backends-reps", type=int, default=3,
-        help="interleaved timing reps per arm of the kernel-backend sweep",
-    )
-    parser.add_argument(
-        "--skip-transfer", action="store_true",
-        help="skip the size-generalization benchmark",
-    )
-    parser.add_argument(
-        "--transfer-out", type=Path, default=Path("BENCH_7.json"),
-        help="trajectory file for the size-generalization benchmark",
-    )
-    parser.add_argument(
-        "--transfer-nodes", type=str, default="50,100,200",
-        help="comma-separated sizes for the size-generalization sweep",
-    )
-    parser.add_argument(
-        "--transfer-degree", type=int, default=3,
-        help="regular-graph degree for the size-generalization sweep",
-    )
-    parser.add_argument(
-        "--transfer-graphs-per-size", type=int, default=3,
-        help="graphs per size for the size-generalization sweep",
-    )
-    parser.add_argument(
-        "--transfer-train-graphs", type=int, default=96,
-        help="small-graph training-set size for the transfer benchmark",
-    )
-    parser.add_argument(
-        "--transfer-epochs", type=int, default=40,
-        help="training epochs for the transfer benchmark",
-    )
-    parser.add_argument(
-        "--transfer-feature-kind", default="structural",
-        choices=("structural", "wl_histogram", "degree_positional"),
-        help="size-agnostic feature kind for the transfer benchmark",
-    )
-    parser.set_defaults(func=_cmd_bench)
-
-
-def _cmd_bench(args) -> int:
-    from repro.benchmarking import format_entry, run_benchmarks
-
-    entry = run_benchmarks(
-        path=args.out,
-        labeling_graphs=args.graphs,
-        backends=tuple(
-            name.strip() for name in args.backends.split(",") if name.strip()
-        ),
-        workers=args.workers,
-        kernel_repeats=args.kernel_repeats,
-        skip_labeling=args.skip_labeling,
-        skip_serving=args.skip_serving,
-        serving_graphs=args.serving_graphs,
-        skip_training=args.skip_training,
-        training_path=args.training_out,
-        training_graphs=args.training_graphs,
-        training_epochs=args.training_epochs,
-        skip_evaluation=args.skip_evaluation,
-        evaluation_path=args.evaluation_out,
-        evaluation_graphs=args.evaluation_graphs,
-        evaluation_iters=args.evaluation_iters,
-        skip_fusion=args.skip_fusion,
-        fusion_path=args.fusion_out,
-        fusion_graphs=args.fusion_graphs,
-        fusion_epochs=args.fusion_epochs,
-        fusion_reps=args.fusion_reps,
-        skip_scale_serving=args.skip_scale_serving,
-        scale_path=args.scale_out,
-        scale_workers=args.scale_workers,
-        scale_duration_s=args.scale_duration,
-        skip_backends=args.skip_backends,
-        backends_path=args.backends_out,
-        backends_graphs=args.backends_graphs,
-        backends_epochs=args.backends_epochs,
-        backends_batch_size=args.backends_batch_size,
-        backends_full_batch_size=args.backends_full_batch_size,
-        backends_reps=args.backends_reps,
-        skip_transfer=args.skip_transfer,
-        transfer_path=args.transfer_out,
-        transfer_nodes=tuple(
-            int(token)
-            for token in args.transfer_nodes.split(",")
-            if token.strip()
-        ),
-        transfer_degree=args.transfer_degree,
-        transfer_graphs_per_size=args.transfer_graphs_per_size,
-        transfer_train_graphs=args.transfer_train_graphs,
-        transfer_epochs=args.transfer_epochs,
-        transfer_feature_kind=args.transfer_feature_kind,
-    )
-    print(format_entry(entry))
-    print(f"appended run {entry['run']} to {args.out}")
-    if not args.skip_training:
-        print(f"appended training benchmark to {args.training_out}")
-    if not args.skip_evaluation:
-        print(f"appended evaluation benchmark to {args.evaluation_out}")
-    if not args.skip_fusion:
-        print(f"appended engine benchmark to {args.fusion_out}")
-    if not args.skip_scale_serving:
-        print(f"appended scale-serving benchmark to {args.scale_out}")
-    if not args.skip_backends:
-        print(f"appended kernel-backend sweep to {args.backends_out}")
-    if not args.skip_transfer:
-        print(f"appended size-generalization benchmark to {args.transfer_out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level CLI parser."""
     parser = argparse.ArgumentParser(
@@ -1237,7 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve(subparsers)
     _add_predict(subparsers)
     _add_flywheel(subparsers)
-    _add_bench(subparsers)
     return parser
 
 

@@ -14,11 +14,6 @@ Assembly is **bit-identical** to ``GraphBatch.from_graphs`` on the same
 graphs: features are the same float64 arrays, edge offsets are exact
 integer adds, and targets are row-slices of the same stacked matrix.
 The trainer's determinism tests assert this end to end.
-
-With ``build_plans=True`` every assembled batch additionally carries
-:class:`~repro.gnn.batching.BatchPlans`, switching the GNN layers onto
-the CSR ``reduceat`` segment kernels (fast, equivalence-tested, but not
-bitwise identical for float sums — see :mod:`repro.nn.segment`).
 """
 
 from __future__ import annotations
@@ -44,10 +39,6 @@ class CompiledDataset:
     feature_kind, max_nodes:
         Forwarded to :func:`repro.graphs.features.build_features`;
         must match what the model expects (``model.in_dim``).
-    build_plans:
-        When true, every batch carries CSR segment plans
-        (:meth:`GraphBatch.build_plans`) so the GNN layers use the
-        ``reduceat`` kernels.
     """
 
     def __init__(
@@ -55,14 +46,12 @@ class CompiledDataset:
         dataset: Union[QAOADataset, Sequence[QAOARecord]],
         feature_kind: str = "degree_onehot",
         max_nodes: int = 15,
-        build_plans: bool = False,
     ):
         records = list(dataset)
         if not records:
             raise DatasetError("cannot compile an empty dataset")
         self.feature_kind = feature_kind
         self.max_nodes = int(max_nodes)
-        self.build_plans = bool(build_plans)
         self._features: List[np.ndarray] = []
         self._src: List[np.ndarray] = []
         self._dst: List[np.ndarray] = []
@@ -137,32 +126,16 @@ class CompiledDataset:
         srcs = [self._src[i] + off for i, off in zip(indices, offsets)]
         dsts = [self._dst[i] + off for i, off in zip(indices, offsets)]
         weights = [self._weight[i] for i in indices]
-        edge_src = np.concatenate(srcs)
-        edge_dst = np.concatenate(dsts)
-        edge_weight = np.concatenate(weights)
-        if self.build_plans:
-            # CSR mode: stable-sorting edges by destination makes the
-            # dst segment index non-decreasing, so the hot reduceat
-            # reductions run without a per-call permutation copy. The
-            # summation reorder this implies is exactly the documented
-            # last-ulp tolerance of the CSR mode (never active on the
-            # bit-identical default path).
-            order = np.argsort(edge_dst, kind="stable")
-            edge_src = edge_src[order]
-            edge_dst = edge_dst[order]
-            edge_weight = edge_weight[order]
         batch = GraphBatch(
             x=Tensor(np.concatenate(xs, axis=0)),
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            edge_weight=edge_weight,
+            edge_src=np.concatenate(srcs),
+            edge_dst=np.concatenate(dsts),
+            edge_weight=np.concatenate(weights),
             node_graph=np.repeat(
                 np.arange(indices.size, dtype=np.int64), counts
             ),
             num_graphs=int(indices.size),
         )
-        if self.build_plans:
-            batch.build_plans()
         if len(self._batch_cache) >= self.BATCH_CACHE_CAP:
             self._batch_cache.pop(next(iter(self._batch_cache)))
         self._batch_cache[cache_key] = batch

@@ -5,14 +5,6 @@ union: node features are stacked, edges are offset, and ``node_graph``
 maps every node back to its graph for pooling. Message passing operates
 on *directed* edges, so each undirected edge contributes both
 orientations.
-
-A batch can optionally carry :class:`BatchPlans` — lazily-built
-:class:`~repro.nn.segment.SegmentPlan` objects for every index array the
-GNN layers scatter over (edge destinations, edge sources for the gather
-backward, their self-loop-augmented variants for GCN/GAT, and
-``node_graph`` for pooling). Plans switch the segment kernels onto the
-CSR ``reduceat`` path; batches without plans keep the seed repo's
-``np.add.at`` semantics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,72 +16,7 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.graphs.features import build_features
 from repro.graphs.graph import Graph
-from repro.nn.segment import SegmentPlan
 from repro.nn.tensor import Tensor
-
-
-class BatchPlans:
-    """Lazy per-index :class:`SegmentPlan` cache for one ``GraphBatch``.
-
-    Each property is built on first use and memoized, so a GIN forward
-    never pays for the self-loop plans only GCN/GAT need. The loop
-    variants append one self loop per node in the same order the layers
-    do (``concatenate([edges, arange(n)])``), so their plans line up
-    with the layer-built index arrays element for element.
-    """
-
-    __slots__ = ("_batch", "_cache")
-
-    def __init__(self, batch: "GraphBatch"):
-        self._batch = batch
-        self._cache = {}
-
-    def _plan(self, key: str, index: np.ndarray, num_segments: int) -> SegmentPlan:
-        plan = self._cache.get(key)
-        if plan is None:
-            plan = SegmentPlan(index, num_segments)
-            self._cache[key] = plan
-        return plan
-
-    @property
-    def src(self) -> SegmentPlan:
-        """Plan over ``edge_src`` -> nodes (gather backward)."""
-        batch = self._batch
-        return self._plan("src", batch.edge_src, batch.num_nodes)
-
-    @property
-    def dst(self) -> SegmentPlan:
-        """Plan over ``edge_dst`` -> nodes (message aggregation)."""
-        batch = self._batch
-        return self._plan("dst", batch.edge_dst, batch.num_nodes)
-
-    @property
-    def src_loop(self) -> SegmentPlan:
-        """Plan over ``edge_src + self loops`` -> nodes (GCN/GAT)."""
-        batch = self._batch
-        index = np.concatenate(
-            [batch.edge_src, np.arange(batch.num_nodes, dtype=np.int64)]
-        )
-        return self._plan("src_loop", index, batch.num_nodes)
-
-    @property
-    def dst_loop(self) -> SegmentPlan:
-        """Plan over ``edge_dst + self loops`` -> nodes (GCN/GAT)."""
-        batch = self._batch
-        index = np.concatenate(
-            [batch.edge_dst, np.arange(batch.num_nodes, dtype=np.int64)]
-        )
-        return self._plan("dst_loop", index, batch.num_nodes)
-
-    @property
-    def node(self) -> SegmentPlan:
-        """Plan over ``node_graph`` -> graphs (pooling readout).
-
-        ``node_graph`` is non-decreasing by construction, so this plan
-        never permutes.
-        """
-        batch = self._batch
-        return self._plan("node", batch.node_graph, batch.num_graphs)
 
 
 class GraphBatch:
@@ -126,7 +53,6 @@ class GraphBatch:
         self.node_graph = np.asarray(node_graph, dtype=np.int64)
         self.num_graphs = int(num_graphs)
         self.num_nodes = int(x.shape[0])
-        self.plans: Optional[BatchPlans] = None
         if self.edge_src.shape != self.edge_dst.shape:
             raise ModelError("edge endpoint arrays differ in length")
         if self.edge_weight.shape != self.edge_src.shape:
@@ -196,20 +122,9 @@ class GraphBatch:
             num_graphs=len(graphs),
         )
 
-    def build_plans(self) -> BatchPlans:
-        """Attach (and return) lazy CSR segment plans for this batch.
-
-        Idempotent; message-passing layers pick the plans up
-        automatically once present. Only call this on batches whose
-        edge arrays will not be mutated afterwards.
-        """
-        if self.plans is None:
-            self.plans = BatchPlans(self)
-        return self.plans
-
     def with_features(self, x: Tensor) -> "GraphBatch":
         """Copy of the batch with replaced node features."""
-        copy = GraphBatch(
+        return GraphBatch(
             x,
             self.edge_src,
             self.edge_dst,
@@ -217,9 +132,6 @@ class GraphBatch:
             self.node_graph,
             self.num_graphs,
         )
-        # Structure is shared, so precomputed segment plans stay valid.
-        copy.plans = self.plans
-        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,7 +48,6 @@ class GCNConv(Module):
 
     def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
         n = batch.num_nodes
-        plans = batch.plans
         # A~ = A + I: append self loops.
         src = np.concatenate([batch.edge_src, np.arange(n)])
         dst = np.concatenate([batch.edge_dst, np.arange(n)])
@@ -60,10 +59,8 @@ class GCNConv(Module):
         coefficient = weight * inv_sqrt[src] * inv_sqrt[dst]
 
         transformed = self.linear(x)
-        messages = gather(
-            transformed, src, plan=plans and plans.src_loop
-        ) * Tensor(coefficient[:, None])
-        return segment_sum(messages, dst, n, plan=plans and plans.dst_loop)
+        messages = gather(transformed, src) * Tensor(coefficient[:, None])
+        return segment_sum(messages, dst, n)
 
 
 class GATConv(Module):
@@ -102,9 +99,6 @@ class GATConv(Module):
 
     def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
         n = batch.num_nodes
-        plans = batch.plans
-        src_plan = plans and plans.src_loop
-        dst_plan = plans and plans.dst_loop
         src = np.concatenate([batch.edge_src, np.arange(n)])
         dst = np.concatenate([batch.edge_dst, np.arange(n)])
 
@@ -116,15 +110,14 @@ class GATConv(Module):
         alpha_dst = (reshaped * self.att_dst.reshape(1, self.num_heads, self.head_dim)).sum(axis=2)
 
         scores = (
-            gather(alpha_src, src, plan=src_plan)
-            + gather(alpha_dst, dst, plan=dst_plan)
+            gather(alpha_src, src) + gather(alpha_dst, dst)
         ).leaky_relu(self.negative_slope)  # (edges, heads)
-        attention = segment_softmax(scores, dst, n, plan=dst_plan)
+        attention = segment_softmax(scores, dst, n)
 
-        messages = gather(reshaped, src, plan=src_plan) * attention.reshape(
+        messages = gather(reshaped, src) * attention.reshape(
             len(src), self.num_heads, 1
         )
-        aggregated = segment_sum(messages, dst, n, plan=dst_plan)
+        aggregated = segment_sum(messages, dst, n)
         return aggregated.reshape(n, self.num_heads * self.head_dim) + self.bias
 
 
@@ -147,12 +140,8 @@ class GINConv(Module):
         self.eps = Parameter(np.zeros(1)) if learn_eps else None
 
     def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
-        plans = batch.plans
         neighbor_sum = segment_sum(
-            gather(x, batch.edge_src, plan=plans and plans.src),
-            batch.edge_dst,
-            batch.num_nodes,
-            plan=plans and plans.dst,
+            gather(x, batch.edge_src), batch.edge_dst, batch.num_nodes
         )
         if self.eps is not None:
             combined = x * (self.eps + 1.0) + neighbor_sum
@@ -171,15 +160,9 @@ class SAGEConv(Module):
         self.combine = Linear(2 * in_features, out_features, rng=generator)
 
     def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
-        plans = batch.plans
-        pooled_messages = self.pool(
-            gather(x, batch.edge_src, plan=plans and plans.src)
-        ).relu()
+        pooled_messages = self.pool(gather(x, batch.edge_src)).relu()
         aggregated = segment_max(
-            pooled_messages,
-            batch.edge_dst,
-            batch.num_nodes,
-            plan=plans and plans.dst,
+            pooled_messages, batch.edge_dst, batch.num_nodes
         )
         return self.combine(concat([x, aggregated], axis=1))
 
@@ -192,11 +175,7 @@ class MeanConv(Module):
         self.linear = Linear(2 * in_features, out_features, rng=rng)
 
     def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
-        plans = batch.plans
         aggregated = segment_mean(
-            gather(x, batch.edge_src, plan=plans and plans.src),
-            batch.edge_dst,
-            batch.num_nodes,
-            plan=plans and plans.dst,
+            gather(x, batch.edge_src), batch.edge_dst, batch.num_nodes
         )
         return self.linear(concat([x, aggregated], axis=1))

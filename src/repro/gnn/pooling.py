@@ -10,26 +10,17 @@ from repro.nn.tensor import Tensor
 
 def mean_pool(x: Tensor, batch: GraphBatch) -> Tensor:
     """Per-graph mean of node embeddings — the paper's readout."""
-    plans = batch.plans
-    return segment_mean(
-        x, batch.node_graph, batch.num_graphs, plan=plans and plans.node
-    )
+    return segment_mean(x, batch.node_graph, batch.num_graphs)
 
 
 def sum_pool(x: Tensor, batch: GraphBatch) -> Tensor:
     """Per-graph sum of node embeddings."""
-    plans = batch.plans
-    return segment_sum(
-        x, batch.node_graph, batch.num_graphs, plan=plans and plans.node
-    )
+    return segment_sum(x, batch.node_graph, batch.num_graphs)
 
 
 def max_pool(x: Tensor, batch: GraphBatch) -> Tensor:
     """Per-graph elementwise max of node embeddings."""
-    plans = batch.plans
-    return segment_max(
-        x, batch.node_graph, batch.num_graphs, plan=plans and plans.node
-    )
+    return segment_max(x, batch.node_graph, batch.num_graphs)
 
 
 def readout(x: Tensor, batch: GraphBatch, kind: str = "mean") -> Tensor:

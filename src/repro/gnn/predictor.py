@@ -22,7 +22,7 @@ from repro.graphs.features import FEATURE_KINDS, feature_dim, feature_max_nodes
 from repro.graphs.graph import Graph
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, batch_invariant, eager, no_grad
+from repro.nn.tensor import Tensor, batch_invariant, no_grad
 from repro.utils.rng import RngLike, ensure_rng
 
 ARCHITECTURES = ("gcn", "gat", "gin", "sage", "mean")
@@ -200,11 +200,6 @@ class QAOAParameterPredictor(Module):
         Runs under :func:`~repro.nn.tensor.batch_invariant`, so each
         graph's row is bit-identical no matter which other graphs share
         the batch — the contract the serving micro-batcher relies on.
-
-        The forward runs on the eager engine (bit-identical to the lazy
-        one). Inference batches take the shape of whatever graphs
-        arrive, so the lazy engine would compile and cache a plan per
-        request that is almost never reused.
         """
         was_training = self.training
         self.eval()
@@ -214,7 +209,7 @@ class QAOAParameterPredictor(Module):
                 feature_kind=self.feature_kind,
                 max_nodes=self.feature_budget,
             )
-            with no_grad(), batch_invariant(), eager():
+            with no_grad(), batch_invariant():
                 output = self.forward(batch)
             return output.data.copy()
         finally:

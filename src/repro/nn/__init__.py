@@ -3,9 +3,7 @@
 from repro.nn.tensor import (
     Tensor,
     concat,
-    eager,
     is_grad_enabled,
-    is_lazy_enabled,
     no_grad,
     stack,
     where,
@@ -25,7 +23,6 @@ from repro.nn.optim import SGD, Adam, GradClipper, Optimizer, clip_grad_norm
 from repro.nn.schedulers import ReduceLROnPlateau, StepLR
 from repro.nn.losses import huber_loss, mae_loss, mse_loss
 from repro.nn.segment import (
-    SegmentPlan,
     reference_scatter,
     gather,
     segment_count,
@@ -39,8 +36,6 @@ from repro.nn import init
 __all__ = [
     "Tensor",
     "concat",
-    "eager",
-    "is_lazy_enabled",
     "is_grad_enabled",
     "no_grad",
     "stack",
@@ -60,7 +55,6 @@ __all__ = [
     "GradClipper",
     "Optimizer",
     "clip_grad_norm",
-    "SegmentPlan",
     "reference_scatter",
     "ReduceLROnPlateau",
     "StepLR",

@@ -6,57 +6,43 @@ nodes, and ``segment_softmax`` normalizes attention scores per
 destination node (GAT). All operate on 2-D tensors ``(items, features)``
 with a 1-D int index mapping items to segments.
 
-Three execution paths exist for the scatter-add at the heart of every
-sum reduction:
+Two kernels exist for the scatter-add at the heart of every sum
+reduction:
 
 - the **bincount path** (default): the scatter is flattened to one
   ``np.bincount(weights=...)`` call. ``bincount`` accumulates weights
   sequentially in item order — exactly ``np.add.at``'s order — so it is
   **bitwise identical** to the seed kernels while running several times
   faster (``ufunc.at`` dispatches per element);
-- the **reference path**: the seed repo's literal ``np.add.at`` /
-  ``np.maximum.at`` kernels, kept (like the simulator's
-  ``_apply_mixer_reference``) as the ground truth for equivalence tests
-  and as the "before" arm of the training benchmark — enabled via the
-  :func:`reference_scatter` context manager;
-- the **CSR path**: a :class:`SegmentPlan` precomputed once per cached
-  batch stable-sorts the index, records per-segment boundaries, and
-  reduces with ``np.add.reduceat`` / ``np.maximum.reduceat``; indices
-  that are already sorted (pooling's ``node_graph``, compile-time
-  sorted edges) skip the permutation entirely.
+- the **reference path**: the seed repo's literal ``np.add.at`` kernel,
+  kept (like the simulator's ``_apply_mixer_reference``) as the ground
+  truth for equivalence tests — enabled via the
+  :func:`reference_scatter` context manager.
 
-``maximum.reduceat`` is bitwise identical to ``maximum.at`` (max is
-exact), but ``add.reduceat`` uses pairwise summation while ``add.at``
-accumulates sequentially, so float sums can differ in the last ulp.
-The CSR path is therefore *opt-in*: callers pass ``plan=`` explicitly
-(the trainer gates it behind ``TrainingConfig.csr_kernels``), and
-equivalence is covered by dedicated tests. All paths compose with the
-batch-invariant matmul mode in :mod:`repro.nn.tensor` — segment ops
-never touch gemm.
+Segment maxima always use ``np.maximum.at`` (max is exact). Segment ops
+compose with the batch-invariant matmul mode in :mod:`repro.nn.tensor`
+— they never touch gemm.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.nn import lazyir
-from repro.nn.backends.numpy_backend import flat_scatter_index
-from repro.nn.tensor import Tensor, _as_tensor, _lazy_result, is_lazy_enabled
+from repro.nn.tensor import Tensor, _as_tensor
 
 _REFERENCE_SCATTER = False
 
 
 @contextmanager
 def reference_scatter():
-    """Run plan-less scatter-adds through the seed ``np.add.at`` kernel.
+    """Run scatter-adds through the seed ``np.add.at`` kernel.
 
     The bincount scatter is bitwise identical to ``np.add.at``, so this
-    changes speed, never values. Benchmarks use it as the honest
-    "before" arm; tests use it to assert that identity.
+    changes speed, never values. Tests use it to assert that identity.
     """
     global _REFERENCE_SCATTER
     previous = _REFERENCE_SCATTER
@@ -65,6 +51,38 @@ def reference_scatter():
         yield
     finally:
         _REFERENCE_SCATTER = previous
+
+
+# ---------------------------------------------------------------------------
+# Flattened scatter indices, memoized on index-array identity
+# ---------------------------------------------------------------------------
+# The bincount scatter flattens ``out[index[i], j] += v[i, j]`` into
+# one 1-D bincount over ``index[:, None] * cols + arange(cols)``. That
+# flat index is a pure function of ``(index, cols)``, and graph
+# topology arrays are immutable by contract once a batch is built — so
+# with cached batch assembly the same index objects recur every epoch
+# and the flattening can be computed once per array instead of once
+# per scatter call. Entries hold the index array itself: the identity
+# check is exact and the held reference pins the id against reuse.
+_FLAT_INDEX_CACHE: dict = {}
+_FLAT_INDEX_CAP = 256
+# Serving threads run forwards concurrently; two evicting at once would
+# pop the same oldest key and raise KeyError out of a forward.
+_FLAT_INDEX_LOCK = threading.Lock()
+
+
+def flat_scatter_index(index: np.ndarray, cols: int) -> np.ndarray:
+    """``(index[:, None] * cols + arange(cols)).ravel()``, memoized."""
+    key = (id(index), cols)
+    hit = _FLAT_INDEX_CACHE.get(key)
+    if hit is not None and hit[0] is index:
+        return hit[1]
+    flat = (index[:, None] * cols + np.arange(cols)).ravel()
+    with _FLAT_INDEX_LOCK:
+        if len(_FLAT_INDEX_CACHE) >= _FLAT_INDEX_CAP:
+            _FLAT_INDEX_CACHE.pop(next(iter(_FLAT_INDEX_CACHE)))
+        _FLAT_INDEX_CACHE[key] = (index, flat)
+    return flat
 
 
 def _check_index(index: np.ndarray, num_items: int) -> np.ndarray:
@@ -80,149 +98,10 @@ def _check_index(index: np.ndarray, num_items: int) -> np.ndarray:
     return index
 
 
-class SegmentPlan:
-    """Precomputed CSR layout for a fixed ``(index, num_segments)`` pair.
-
-    Stable-sorting the index once exposes each segment as a contiguous
-    run, so every subsequent reduction is a ``reduceat`` over
-    precomputed boundaries instead of an item-by-item ``ufunc.at``.
-    Already-sorted indices (e.g. ``node_graph``, or edge arrays sorted
-    at compile time) skip the permutation entirely.
-
-    Attributes
-    ----------
-    index:
-        The original (unsorted) segment index, int64.
-    num_segments:
-        Total segment count, including empty segments.
-    is_sorted:
-        Whether ``index`` was already non-decreasing.
-    perm:
-        Stable argsort of ``index`` (``None`` when already sorted).
-        Stability preserves the within-segment item order, which keeps
-        the summation order per segment identical to the scatter path
-        (up to ``reduceat``'s pairwise blocking).
-    counts:
-        Items per segment, shape ``(num_segments,)``.
-    """
-
-    __slots__ = (
-        "index",
-        "num_segments",
-        "num_items",
-        "is_sorted",
-        "perm",
-        "counts",
-        "_nonempty",
-        "_reduce_starts",
-    )
-
-    def __init__(self, index: np.ndarray, num_segments: int):
-        index = np.asarray(index, dtype=np.int64)
-        if index.ndim != 1:
-            raise ModelError(f"index must be 1-D, got shape {index.shape}")
-        num_segments = int(num_segments)
-        if num_segments < 0:
-            raise ModelError("num_segments must be non-negative")
-        if index.size:
-            if index.min() < 0:
-                raise ModelError("negative segment index")
-            if index.max() >= num_segments:
-                raise ModelError("segment index exceeds num_segments")
-        self.index = index
-        self.num_segments = num_segments
-        self.num_items = int(index.shape[0])
-        self.is_sorted = (
-            bool(np.all(index[1:] >= index[:-1])) if index.size else True
-        )
-        self.perm: Optional[np.ndarray] = (
-            None if self.is_sorted else np.argsort(index, kind="stable")
-        )
-        sorted_index = index if self.perm is None else index[self.perm]
-        self.counts = np.bincount(index, minlength=num_segments)
-        self._nonempty = np.flatnonzero(self.counts)
-        self._reduce_starts = np.searchsorted(sorted_index, self._nonempty)
-
-    def _ordered(self, data: np.ndarray) -> np.ndarray:
-        return data if self.perm is None else data[self.perm]
-
-    def sum_into(self, data: np.ndarray) -> np.ndarray:
-        """Segment sums of ``data`` rows, shape ``(num_segments, ...)``."""
-        out = np.zeros(
-            (self.num_segments,) + data.shape[1:], dtype=np.float64
-        )
-        if self._nonempty.size:
-            out[self._nonempty] = np.add.reduceat(
-                self._ordered(data), self._reduce_starts, axis=0
-            )
-        return out
-
-    def max_into(self, data: np.ndarray) -> np.ndarray:
-        """Segment maxima of ``data`` rows; empty segments are ``-inf``."""
-        out = np.full(
-            (self.num_segments,) + data.shape[1:], -np.inf, dtype=np.float64
-        )
-        if self._nonempty.size:
-            out[self._nonempty] = np.maximum.reduceat(
-                self._ordered(data), self._reduce_starts, axis=0
-            )
-        return out
-
-    def matches(self, num_items: int, num_segments: int) -> bool:
-        """Cheap shape compatibility check against a call site."""
-        return (
-            self.num_items == int(num_items)
-            and self.num_segments == int(num_segments)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SegmentPlan(items={self.num_items}, "
-            f"segments={self.num_segments}, sorted={self.is_sorted})"
-        )
-
-
-def _check_plan(
-    plan: Optional[SegmentPlan], num_items: int, num_segments: int
-) -> Optional[SegmentPlan]:
-    if plan is not None and not plan.matches(num_items, num_segments):
-        raise ModelError(
-            f"segment plan ({plan.num_items} items, "
-            f"{plan.num_segments} segments) does not match call site "
-            f"({num_items} items, {num_segments} segments)"
-        )
-    return plan
-
-
-def _scatter_mode(plan: Optional[SegmentPlan]):
-    """Kernel selection for a lazy scatter-add, mirroring
-    :func:`_scatter_add`'s dispatch. Read when the op (or its gradient)
-    is *recorded* — the same moment the eager path would pick a kernel —
-    so ``reference_scatter()`` blocks behave identically even when
-    realization happens after the context exits."""
-    if plan is not None:
-        return "csr", (plan.perm, plan._nonempty, plan._reduce_starts)
-    if _REFERENCE_SCATTER:
-        return "ref", None
-    return "bc", None
-
-
-def _segmax_mode(plan: Optional[SegmentPlan]):
-    """Kernel selection for a lazy segment max (no bincount variant)."""
-    if plan is not None:
-        return "csr", (plan.perm, plan._nonempty, plan._reduce_starts)
-    return "ref", None
-
-
 def _scatter_add(
-    shape: tuple,
-    index: np.ndarray,
-    values: np.ndarray,
-    plan: Optional[SegmentPlan],
+    shape: tuple, index: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Dense scatter-add: ``out[index[i]] += values[i]`` along axis 0."""
-    if plan is not None:
-        return plan.sum_into(values)
     if _REFERENCE_SCATTER:
         out = np.zeros(shape, dtype=np.float64)
         np.add.at(out, index, values)
@@ -232,8 +111,8 @@ def _scatter_add(
         return np.bincount(index, weights=values, minlength=shape[0])
     # Flatten trailing dims into independent bins: bincount accumulates
     # weights in item order, matching np.add.at bit for bit. The flat
-    # index is memoized per index array (see numpy_backend), so cached
-    # batches pay for the flattening once, not once per step.
+    # index is memoized per index array, so cached batches pay for the
+    # flattening once, not once per step.
     cols = int(np.prod(shape[1:]))
     return np.bincount(
         flat_scatter_index(index, cols),
@@ -242,72 +121,40 @@ def _scatter_add(
     ).reshape(shape)
 
 
-def gather(
-    x: Tensor, index: np.ndarray, plan: Optional[SegmentPlan] = None
-) -> Tensor:
-    """Select rows: ``out[i] = x[index[i]]``; backward scatter-adds.
+def _segment_max_raw(
+    data: np.ndarray, index: np.ndarray, num_segments: int
+) -> np.ndarray:
+    """Per-segment maxima of ``data`` rows; empty segments are ``-inf``."""
+    out = np.full(
+        (num_segments,) + data.shape[1:], -np.inf, dtype=np.float64
+    )
+    np.maximum.at(out, index, data)
+    return out
 
-    ``plan`` (a :class:`SegmentPlan` over ``index`` with
-    ``num_segments == x.shape[0]``) accelerates the backward
-    scatter-add via the CSR path.
-    """
+
+def gather(x: Tensor, index: np.ndarray) -> Tensor:
+    """Select rows: ``out[i] = x[index[i]]``; backward scatter-adds."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     if index.ndim != 1:
         raise ModelError("gather index must be 1-D")
     if index.size and index.max() >= x.shape[0]:
         raise ModelError("gather index out of range")
-    _check_plan(plan, index.shape[0], x.shape[0])
-    if is_lazy_enabled():
-        x_shape = x.shape
-        node = lazyir.gather_node(x._lazy_node(), index)
-
-        def vjp(g) -> None:
-            mode, plan_arrays = _scatter_mode(plan)
-            x._acc_node(
-                lazyir.scatter_add_node(g, index, x_shape, mode, plan_arrays)
-            )
-
-        return _lazy_result(node, (x,), vjp)
-
     x_shape = x.data.shape
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(_scatter_add(x_shape, index, grad, plan))
+        x._accumulate(_scatter_add(x_shape, index, grad))
 
     return Tensor._make(x.data[index], (x,), backward)
 
 
-def segment_sum(
-    x: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    plan: Optional[SegmentPlan] = None,
-) -> Tensor:
+def segment_sum(x: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows into segments: ``out[s] = sum_{i: index[i]=s} x[i]``."""
     x = _as_tensor(x)
     index = _check_index(index, x.shape[0])
     if index.size and index.max() >= num_segments:
         raise ModelError("segment index exceeds num_segments")
-    _check_plan(plan, x.shape[0], num_segments)
-    if is_lazy_enabled():
-        mode, plan_arrays = _scatter_mode(plan)
-        node = lazyir.scatter_add_node(
-            x._lazy_node(),
-            index,
-            (num_segments,) + x.shape[1:],
-            mode,
-            plan_arrays,
-        )
-
-        def vjp(g) -> None:
-            x._acc_node(lazyir.gather_node(g, index))
-
-        return _lazy_result(node, (x,), vjp)
-
-    out = _scatter_add(
-        (num_segments,) + x.data.shape[1:], index, x.data, plan
-    )
+    out = _scatter_add((num_segments,) + x.data.shape[1:], index, x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad[index])
@@ -315,83 +162,29 @@ def segment_sum(
     return Tensor._make(out, (x,), backward)
 
 
-def segment_mean(
-    x: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    plan: Optional[SegmentPlan] = None,
-) -> Tensor:
+def segment_mean(x: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     """Mean rows per segment; empty segments yield zeros."""
     x = _as_tensor(x)
     index = _check_index(index, x.shape[0])
-    if plan is not None:
-        _check_plan(plan, x.shape[0], num_segments)
-        counts = plan.counts.astype(np.float64)
-    else:
-        counts = np.bincount(index, minlength=num_segments).astype(np.float64)
+    counts = np.bincount(index, minlength=num_segments).astype(np.float64)
     safe = np.maximum(counts, 1.0)
     shape = (num_segments,) + (1,) * (x.ndim - 1)
-    total = segment_sum(x, index, num_segments, plan=plan)
+    total = segment_sum(x, index, num_segments)
     return total * Tensor(1.0 / safe.reshape(shape))
 
 
-def segment_max(
-    x: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    plan: Optional[SegmentPlan] = None,
-) -> Tensor:
+def segment_max(x: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     """Max rows per segment (GraphSAGE pooling); empty segments yield zeros.
 
     The gradient splits equally among elements tied at the segment max —
-    a valid subgradient that keeps the op deterministic. Max is exact
-    arithmetic, so the CSR path is bitwise identical to the scatter
-    path here (tie counts are small-integer sums, also exact).
+    a valid subgradient that keeps the op deterministic.
     """
     x = _as_tensor(x)
     index = _check_index(index, x.shape[0])
     if index.size and index.max() >= num_segments:
         raise ModelError("segment index exceeds num_segments")
-    _check_plan(plan, x.shape[0], num_segments)
-    if is_lazy_enabled():
-        x_node = x._lazy_node()
-        out_shape = (num_segments,) + x.shape[1:]
-        max_mode, max_plan = _segmax_mode(plan)
-        raw = lazyir.segment_max_raw_node(
-            x_node, index, out_shape, max_mode, max_plan
-        )
-        node = lazyir.where_node(lazyir.alu1("isinf", raw), 0.0, raw)
-
-        def vjp(g) -> None:
-            mask = lazyir.cast_f8(
-                lazyir.alu("eq", x_node, lazyir.gather_node(node, index))
-            )
-            mode, plan_arrays = _scatter_mode(plan)
-            tie_count = lazyir.alu(
-                "maximum",
-                lazyir.scatter_add_node(
-                    mask, index, out_shape, mode, plan_arrays
-                ),
-                1.0,
-            )
-            x._acc_node(
-                lazyir.alu(
-                    "div",
-                    lazyir.alu("mul", mask, lazyir.gather_node(g, index)),
-                    lazyir.gather_node(tie_count, index),
-                )
-            )
-
-        return _lazy_result(node, (x,), vjp)
-
     feature_shape = x.data.shape[1:]
-    if plan is not None:
-        out = plan.max_into(x.data)
-    else:
-        out = np.full(
-            (num_segments,) + feature_shape, -np.inf, dtype=np.float64
-        )
-        np.maximum.at(out, index, x.data)
+    out = _segment_max_raw(x.data, index, num_segments)
     empty = np.isinf(out)
     out = np.where(empty, 0.0, out)
     x_data = x.data
@@ -399,7 +192,7 @@ def segment_max(
     def backward(grad: np.ndarray) -> None:
         mask = (x_data == out[index]).astype(np.float64)
         tie_count = _scatter_add(
-            (num_segments,) + feature_shape, index, mask, plan
+            (num_segments,) + feature_shape, index, mask
         )
         tie_count = np.maximum(tie_count, 1.0)
         x._accumulate(mask * grad[index] / tie_count[index])
@@ -408,10 +201,7 @@ def segment_max(
 
 
 def segment_softmax(
-    scores: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    plan: Optional[SegmentPlan] = None,
+    scores: Tensor, index: np.ndarray, num_segments: int
 ) -> Tensor:
     """Softmax of ``scores`` within each segment (GAT attention weights).
 
@@ -421,47 +211,16 @@ def segment_softmax(
     """
     scores = _as_tensor(scores)
     index = _check_index(index, scores.shape[0])
-    _check_plan(plan, scores.shape[0], num_segments)
-    if is_lazy_enabled():
-        scores_node = scores._lazy_node()
-        out_shape = (num_segments,) + scores.shape[1:]
-        max_mode, max_plan = _segmax_mode(plan)
-        raw = lazyir.segment_max_raw_node(
-            scores_node, index, out_shape, max_mode, max_plan
-        )
-        masked = lazyir.where_node(lazyir.alu1("isinf", raw), 0.0, raw)
-        # The shift and the empty-denominator indicator are constants
-        # (detached node wrappers): softmax is shift-invariant, so no
-        # gradient flows through either — matching the eager path.
-        shift = _lazy_result(lazyir.gather_node(masked, index), (), None)
-        shifted = scores - shift
-        exps = shifted.exp()
-        denom = segment_sum(exps, index, num_segments, plan=plan)
-        indicator = _lazy_result(
-            lazyir.cast_f8(lazyir.alu("eq", denom._lazy_node(), 0.0)),
-            (),
-            None,
-        )
-        denom_safe = denom + indicator
-        return exps * gather(denom_safe ** -1.0, index, plan=plan)
-
-    feature_shape = scores.data.shape[1:]
-    if plan is not None:
-        max_per_segment = plan.max_into(scores.data)
-    else:
-        max_per_segment = np.full(
-            (num_segments,) + feature_shape, -np.inf, dtype=np.float64
-        )
-        np.maximum.at(max_per_segment, index, scores.data)
+    max_per_segment = _segment_max_raw(scores.data, index, num_segments)
     max_per_segment = np.where(
         np.isinf(max_per_segment), 0.0, max_per_segment
     )
     shifted = scores - Tensor(max_per_segment[index])
     exps = shifted.exp()
-    denom = segment_sum(exps, index, num_segments, plan=plan)
+    denom = segment_sum(exps, index, num_segments)
     # Clamp empty-segment denominators (no incoming edges) to 1.
     denom_safe = denom + Tensor((denom.data == 0.0).astype(np.float64))
-    return exps * gather(denom_safe ** -1.0, index, plan=plan)
+    return exps * gather(denom_safe ** -1.0, index)
 
 
 def segment_count(index: np.ndarray, num_segments: int) -> np.ndarray:

@@ -12,11 +12,6 @@ Performance structure (see DESIGN "Training performance"):
   shuffled mini-batch by index slicing — bit-identical to rebuilding
   ``GraphBatch.from_graphs`` per step, just without the per-step cost.
   ``TrainingConfig(compile_batches=False)`` restores the seed loop.
-- ``TrainingConfig(csr_kernels=True)`` additionally attaches CSR
-  segment plans to every batch, switching message passing onto the
-  ``reduceat`` kernels. This changes float summation order (last-ulp
-  differences; equivalence-tested, not bitwise), which is why it is an
-  explicit opt-in rather than the default.
 - ``TrainingConfig(profile=True)`` (or ``repro train --profile``)
   records per-phase wall time — batch assembly / forward / backward /
   optimizer — into ``TrainingHistory.profile``.
@@ -32,13 +27,13 @@ import numpy as np
 
 from repro.data.compiled import CompiledDataset
 from repro.data.dataset import QAOADataset
-from repro.exceptions import DatasetError, ModelError
+from repro.exceptions import DatasetError
 from repro.gnn.batching import GraphBatch
 from repro.gnn.predictor import QAOAParameterPredictor
 from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam, GradClipper
 from repro.nn.schedulers import ReduceLROnPlateau
-from repro.nn.tensor import Tensor, eager as nn_eager
+from repro.nn.tensor import Tensor
 from repro.profiling import NULL_PROFILER, TrainingProfiler
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, ensure_rng
@@ -50,17 +45,10 @@ logger = get_logger(__name__)
 class TrainingConfig:
     """Hyperparameters of the paper's training setup.
 
-    The last four fields are performance knobs, not hyperparameters:
+    The last two fields are performance knobs, not hyperparameters:
     ``compile_batches`` (default on, bit-identical) caches per-graph
-    arrays and assembles mini-batches by slicing; ``csr_kernels``
-    (default off, last-ulp numerics) switches the segment reductions
-    onto the CSR ``reduceat`` path; ``profile`` records per-phase wall
-    times into the returned history; ``engine`` selects the tensor
-    execution engine — ``"lazy"`` (default, bit-identical: records op
-    graphs and realizes fused kernels at each ``backward()``) or
-    ``"eager"`` (the op-at-a-time oracle path). With the lazy engine
-    the "forward" profiling phase only records the graph; the compute
-    it saved shows up under "backward", where the whole step realizes.
+    arrays and assembles mini-batches by slicing; ``profile`` records
+    per-phase wall times into the returned history.
     """
 
     epochs: int = 100
@@ -73,9 +61,7 @@ class TrainingConfig:
     weight_decay: float = 0.0
     seed: Optional[int] = None
     compile_batches: bool = True
-    csr_kernels: bool = False
     profile: bool = False
-    engine: str = "lazy"
 
 
 @dataclass
@@ -140,33 +126,8 @@ class Trainer:
         dataset: QAOADataset,
         validation: Optional[QAOADataset] = None,
         callback: Optional[Callable[[int, float], None]] = None,
-        compiled: Optional[CompiledDataset] = None,
     ) -> TrainingHistory:
-        """Run the full training loop; returns the loss history.
-
-        ``config.engine`` picks the tensor engine for the whole loop;
-        the two produce bitwise-identical weights and loss traces.
-        ``compiled`` supplies a prebuilt :class:`CompiledDataset` for
-        ``dataset`` (must match its records and the config's
-        ``csr_kernels`` flag) so repeated fits over one dataset — the
-        benchmark arms, cross-validation folds — share one compilation
-        and its assembled-batch memo instead of recompiling per fit.
-        """
-        engine = self.config.engine
-        if engine == "eager":
-            with nn_eager():
-                return self._fit(dataset, validation, callback, compiled)
-        if engine != "lazy":
-            raise ModelError(f"unknown tensor engine: {engine!r}")
-        return self._fit(dataset, validation, callback, compiled)
-
-    def _fit(
-        self,
-        dataset: QAOADataset,
-        validation: Optional[QAOADataset] = None,
-        callback: Optional[Callable[[int, float], None]] = None,
-        compiled: Optional[CompiledDataset] = None,
-    ) -> TrainingHistory:
+        """Run the full training loop; returns the loss history."""
         if len(dataset) == 0:
             raise DatasetError("cannot train on an empty dataset")
         if dataset.depth() != self.model.p:
@@ -176,23 +137,16 @@ class Trainer:
         history = TrainingHistory()
         profiler = self.profiler
         records = list(dataset)
-        if not self.config.compile_batches:
-            compiled = None
-        elif compiled is None:
+        compiled: Optional[CompiledDataset] = None
+        if self.config.compile_batches:
             with profiler.phase("compile"):
                 compiled = CompiledDataset(
                     records,
                     feature_kind=self.model.feature_kind,
                     max_nodes=self.model.feature_budget,
-                    build_plans=self.config.csr_kernels,
                 )
-        elif len(compiled) != len(records):
-            raise DatasetError(
-                f"prebuilt CompiledDataset has {len(compiled)} graphs, "
-                f"dataset has {len(records)}"
-            )
-        # Satellite fix: the validation batch is structural — build it
-        # once, not once per epoch.
+        # The validation batch is structural: build it once, not once
+        # per epoch.
         val_batch: Optional[GraphBatch] = None
         val_targets: Optional[Tensor] = None
         if validation is not None and len(validation) > 0:
@@ -202,8 +156,6 @@ class Trainer:
                     feature_kind=self.model.feature_kind,
                     max_nodes=self.model.feature_budget,
                 )
-                if self.config.csr_kernels:
-                    val_batch.build_plans()
                 val_targets = Tensor(validation.targets())
         for epoch in range(self.config.epochs):
             epoch_start = perf_counter()
@@ -255,8 +207,6 @@ class Trainer:
             feature_kind=self.model.feature_kind,
             max_nodes=self.model.feature_budget,
         )
-        if self.config.csr_kernels:
-            batch.build_plans()
         targets = Tensor(np.stack([r.target_vector() for r in records]))
         return batch, targets
 

@@ -9,14 +9,6 @@ the report title. The :data:`NULL_PROFILER` singleton implements the
 same interface as no-ops, so hot loops pay a single attribute lookup
 when profiling is off.
 
-Beyond wall time, phases can attribute *allocation and kernel
-accounting*: subsystems register a counter source via
-:func:`register_counter_source` (the lazy tensor engine in
-:mod:`repro.nn.realize` registers kernel / op / realize counts and
-temporary-byte watermarks), and every ``phase()`` block collects the
-per-source deltas. Counter keys prefixed ``peak_`` aggregate by
-maximum across calls (watermarks); all other keys sum (flows).
-
 Example::
 
     profiler = TrainingProfiler()
@@ -29,19 +21,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 #: Schema version of the report dict (bumped on breaking changes).
 PROFILE_SCHEMA_VERSION = 1
-
-#: Registered counter sources; each exposes ``begin() -> token`` and
-#: ``end(token) -> {counter: value}`` returning deltas for the span.
-_COUNTER_SOURCES: List[object] = []
-
-
-def register_counter_source(source) -> None:
-    """Attach a counter source sampled around every profiled phase."""
-    _COUNTER_SOURCES.append(source)
 
 
 class PhaseProfiler:
@@ -68,12 +51,10 @@ class PhaseProfiler:
         # Insertion-ordered: phases report in first-use order.
         self._totals: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
-        self._counters: Dict[str, Dict[str, float]] = {}
 
     @contextmanager
     def phase(self, name: str):
         """Time the enclosed block under ``name`` (re-entrant safe)."""
-        tokens = [(source, source.begin()) for source in _COUNTER_SOURCES]
         start = self._clock()
         try:
             yield
@@ -81,18 +62,6 @@ class PhaseProfiler:
             elapsed = self._clock() - start
             self._totals[name] = self._totals.get(name, 0.0) + elapsed
             self._calls[name] = self._calls.get(name, 0) + 1
-            for source, token in tokens:
-                self._merge_counters(name, source.end(token))
-
-    def _merge_counters(self, name: str, deltas: Dict[str, float]) -> None:
-        if not deltas:
-            return
-        bucket = self._counters.setdefault(name, {})
-        for key, value in deltas.items():
-            if key.startswith("peak_"):
-                bucket[key] = max(bucket.get(key, 0), value)
-            else:
-                bucket[key] = bucket.get(key, 0) + value
 
     def add(self, name: str, seconds: float) -> None:
         """Record already-measured time under ``name``."""
@@ -117,8 +86,6 @@ class PhaseProfiler:
                 "mean_s": total / calls if calls else 0.0,
                 "share": total / accounted if accounted > 0 else 0.0,
             }
-            if name in self._counters:
-                phases[name]["counters"] = dict(self._counters[name])
         return {
             "schema": PROFILE_SCHEMA_VERSION,
             "total_s": self._clock() - self._start,
@@ -141,21 +108,7 @@ class PhaseProfiler:
                 f"{stats['calls']:>8} {stats['mean_s'] * 1e6:>8.1f}us "
                 f"{stats['share'] * 100:>6.1f}%"
             )
-            counters = stats.get("counters")
-            if counters:
-                rendered = " ".join(
-                    f"{key}={_format_counter(key, value)}"
-                    for key, value in counters.items()
-                )
-                lines.append(f"  {'':<16} {rendered}")
         return "\n".join(lines)
-
-
-def _format_counter(key: str, value) -> str:
-    """Human-readable counter value (bytes get MB suffixes)."""
-    if key.endswith("bytes"):
-        return f"{value / 1e6:.1f}MB" if value >= 1e6 else f"{value}B"
-    return str(value)
 
 
 class TrainingProfiler(PhaseProfiler):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy import optimize as scipy_opt
 
 from repro.exceptions import OptimizationError
 from repro.qaoa.simulator import QAOASimulator
@@ -256,6 +255,10 @@ def scipy_optimize(
     Minimizes the negated expectation; gradient-based methods receive the
     exact adjoint gradient.
     """
+    # Imported here, not at module top: labeling imports this module,
+    # and only this reference path needs scipy.
+    from scipy import optimize as scipy_opt
+
     gammas = np.asarray(gammas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     p = len(gammas)

@@ -225,11 +225,6 @@ class QAOASimulator:
         return gammas, betas
 
 
-def _plus_amplitudes(num_qubits: int) -> np.ndarray:
-    dim = 1 << num_qubits
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-
-
 # ----------------------------------------------------------------------
 # Optimized grouped kernels
 # ----------------------------------------------------------------------

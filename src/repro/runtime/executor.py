@@ -28,8 +28,8 @@ provides:
   (``error_mode="collect"``).
 - **Reporting.** Every ``map`` records wall time, throughput, retries,
   and timeouts in ``last_report`` (a
-  :class:`~repro.runtime.progress.ThroughputStats`) for the benchmark
-  trajectories.
+  :class:`~repro.runtime.progress.ThroughputStats`), which callers
+  log (labeling's summary line) or assert on (the retry tests).
 """
 
 from __future__ import annotations

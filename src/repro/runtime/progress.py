@@ -2,8 +2,8 @@
 
 The executor reports task completions to a :class:`ProgressReporter`,
 which logs periodic progress lines (count, percentage, tasks/sec, ETA)
-and accumulates the final :class:`ThroughputStats` that benchmark
-harnesses persist into ``BENCH_*.json`` trajectories.
+and accumulates the final :class:`ThroughputStats` the executor
+exposes as ``last_report``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 into a bounded ring buffer (newest ``window`` samples) so percentile
 queries stay O(window) regardless of uptime; counters are cumulative.
 The snapshot format is JSON-safe and is what both the ``/metrics`` HTTP
-endpoint and the benchmark trajectory (``repro bench``) record.
+endpoint and the serving benchmark trajectory record.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, load_model, main
 from repro.data.dataset import QAOADataset
 from repro.exceptions import ModelError
@@ -185,24 +190,12 @@ class TestTrainingFlags:
     def test_train_performance_flags_registered(self):
         base = ["train", "--dataset", "ds.json", "--out", "model.json"]
         args = build_parser().parse_args(
-            base + ["--profile", "--no-batch-cache", "--fast-kernels"]
+            base + ["--profile", "--no-batch-cache"]
         )
-        assert args.profile and args.no_batch_cache and args.fast_kernels
+        assert args.profile and args.no_batch_cache
         defaults = build_parser().parse_args(base)
         assert not defaults.profile
         assert not defaults.no_batch_cache
-        assert not defaults.fast_kernels
-
-    def test_bench_training_flags_registered(self):
-        args = build_parser().parse_args(
-            [
-                "bench", "--skip-training", "--training-graphs", "48",
-                "--training-epochs", "4",
-            ]
-        )
-        assert args.skip_training
-        assert args.training_graphs == 48
-        assert args.training_epochs == 4
 
     def test_train_profile_prints_report(self, tmp_path, capsys):
         dataset_path = tmp_path / "ds.json"
@@ -227,22 +220,40 @@ class TestTrainingFlags:
         assert "forward" in out
         assert "backward" in out
 
-    def test_train_fast_kernels_roundtrip(self, tmp_path):
-        dataset_path = tmp_path / "ds.json"
-        model_path = tmp_path / "model.json"
-        main(
-            [
-                "generate", "--num-graphs", "10", "--min-nodes", "4",
-                "--max-nodes", "6", "--iters", "8", "--seed", "9",
-                "--out", str(dataset_path),
-            ]
-        )
-        code = main(
-            [
-                "train", "--dataset", str(dataset_path), "--arch", "gin",
-                "--epochs", "2", "--seed", "9", "--fast-kernels",
-                "--out", str(model_path),
-            ]
-        )
-        assert code == 0
-        assert load_model(model_path).arch == "gin"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["train", "--dataset", "ds.json", "--out", "m.json",
+             "--engine", "eager"],
+            ["train", "--dataset", "ds.json", "--out", "m.json",
+             "--backend", "numpy"],
+            ["train", "--dataset", "ds.json", "--out", "m.json",
+             "--fast-kernels"],
+        ],
+    )
+    def test_removed_command_and_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
+def test_commands_do_not_import_scipy():
+    """scipy serves two reference paths only; no command pays for it."""
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.data.generation, repro.pipeline.training\n"
+        "import repro.serving.service\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -2,9 +2,7 @@
 
 The batch cache is the default training path, so its output has to be
 **bit-identical** to rebuilding the ``GraphBatch`` from raw graphs —
-same features, same edge arrays, same targets. The CSR variant
-(``build_plans=True``) is allowed to permute edges (sorted by
-destination) but must describe the same multigraph.
+same features, same edge arrays, same targets.
 """
 
 from __future__ import annotations
@@ -124,32 +122,3 @@ class TestApi:
         _assert_batches_bitwise_equal(
             first, _reference_batch(records, range(len(records)))
         )
-
-
-class TestCsrMode:
-    def test_edges_sorted_and_plans_attached(self, records):
-        compiled = CompiledDataset(records, max_nodes=15, build_plans=True)
-        batch = compiled.batch([0, 3, 1])
-        assert batch.plans is not None
-        assert np.all(np.diff(batch.edge_dst) >= 0)
-        assert batch.plans.dst.is_sorted
-
-    def test_sorted_edges_are_a_permutation_of_reference(self, records):
-        compiled = CompiledDataset(records, max_nodes=15, build_plans=True)
-        indices = [2, 5, 0]
-        batch = compiled.batch(indices)
-        reference = _reference_batch(records, indices)
-        got = sorted(
-            zip(batch.edge_src, batch.edge_dst, batch.edge_weight)
-        )
-        want = sorted(
-            zip(
-                reference.edge_src,
-                reference.edge_dst,
-                reference.edge_weight,
-            )
-        )
-        assert got == want
-        # Node-side arrays are untouched by the edge sort.
-        assert np.array_equal(batch.x.data, reference.x.data)
-        assert np.array_equal(batch.node_graph, reference.node_graph)

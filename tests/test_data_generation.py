@@ -13,7 +13,7 @@ from repro.data.generation import (
 )
 from repro.exceptions import DatasetError
 from repro.qaoa.simulator import QAOASimulator
-from repro.runtime import ParallelExecutor
+from repro.runtime import FaultInjector, ParallelExecutor
 
 
 class TestCanonicalize:
@@ -214,6 +214,24 @@ class TestParallelGeneration:
             executor=ParallelExecutor(backend="process", max_workers=workers),
         )
         assert np.array_equal(self._targets(serial), self._targets(parallel))
+
+    def test_injected_failures_with_retry_bit_identical(self):
+        # Every task fails once and is retried: the records must not
+        # depend on the retry (per-task seeds, not attempt order).
+        config = GenerationConfig(**self.CONFIG)
+        clean = generate_dataset(config)
+        executor = ParallelExecutor(
+            backend="serial",
+            retries=1,
+            fault_injector=FaultInjector(failure_rate=1.0),
+        )
+        retried = generate_dataset(config, executor=executor)
+        assert np.array_equal(self._targets(clean), self._targets(retried))
+        assert [r.expectation for r in clean] == [
+            r.expectation for r in retried
+        ]
+        assert executor.last_report.retried == config.num_graphs
+        assert executor.last_report.failed == 0
 
     def test_config_backend_field_used(self):
         config = GenerationConfig(**self.CONFIG)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
 from repro.nn.segment import (
+    _scatter_add,
     gather,
+    reference_scatter,
     segment_count,
     segment_max,
     segment_mean,
@@ -191,3 +193,46 @@ class TestSegmentCount:
     def test_counts(self):
         counts = segment_count(np.array([0, 0, 2]), 4)
         np.testing.assert_allclose(counts, [2, 0, 1, 0])
+
+
+def _random_case(seed, items, segments, features=4):
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, segments, size=items).astype(np.int64)
+    data = rng.normal(size=(items, features))
+    return index, data
+
+
+class TestBincountScatter:
+    """The default bincount scatter is bitwise identical to the seed
+    ``np.add.at`` kernel (same accumulation order)."""
+
+    @pytest.mark.parametrize(
+        "seed,items,segments",
+        [
+            (0, 40, 7),     # random many-to-few
+            (1, 40, 60),    # guaranteed empty segments
+            (2, 1, 3),      # single item
+            (3, 12, 1),     # single segment (single-node-graph pooling)
+        ],
+    )
+    def test_bitwise_identical_to_add_at(self, seed, items, segments):
+        index, data = _random_case(seed, items, segments)
+        shape = (segments, data.shape[1])
+        fast = _scatter_add(shape, index, data)
+        with reference_scatter():
+            ref = _scatter_add(shape, index, data)
+        assert np.array_equal(fast, ref)
+
+    def test_bitwise_identical_1d(self):
+        index, data = _random_case(5, 30, 6, features=1)
+        values = data[:, 0]
+        fast = _scatter_add((6,), index, values)
+        with reference_scatter():
+            ref = _scatter_add((6,), index, values)
+        assert np.array_equal(fast, ref)
+
+    def test_zero_items(self):
+        out = _scatter_add(
+            (4, 3), np.zeros(0, dtype=np.int64), np.zeros((0, 3))
+        )
+        assert np.array_equal(out, np.zeros((4, 3)))

@@ -5,13 +5,24 @@ differences on random inputs — the standard oracle for autograd
 correctness.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
-from repro.nn.tensor import Tensor, concat, no_grad, stack, where
+from repro.nn.tensor import (
+    Tensor,
+    batch_invariant,
+    concat,
+    is_batch_invariant,
+    is_grad_enabled,
+    no_grad,
+    stack,
+    where,
+)
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -227,6 +238,84 @@ class TestShapeOps:
         check_gradient(
             lambda x: where(mask, x * 2.0, x * 3.0).sum(), (3,)
         )
+
+    def test_where_accepts_tensor_condition(self):
+        cond = Tensor(np.array([1.0, 0.0, 2.0]))
+        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        b = Tensor(np.array([10.0, 20.0, 30.0]), requires_grad=True)
+        out = where(cond, a, b)
+        np.testing.assert_array_equal(out.data, [1.0, 20.0, 3.0])
+        out.sum().backward()
+        np.testing.assert_array_equal(a.grad, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [0.0, 1.0, 0.0])
+
+    def test_comparisons_accept_tensor_operands(self):
+        a = Tensor(np.array([1.0, 5.0]))
+        b = Tensor(np.array([3.0, 3.0]))
+        np.testing.assert_array_equal(a > b, [False, True])
+        np.testing.assert_array_equal(a < b, [True, False])
+        np.testing.assert_array_equal(a >= b, [False, True])
+        np.testing.assert_array_equal(a <= b, [True, False])
+
+    def test_reshape_minus_one_and_errors(self):
+        x = Tensor(np.arange(12.0))
+        assert x.reshape(3, -1).shape == (3, 4)
+        for bad in ((5, -1), (-1, -1), (5, 3)):
+            with pytest.raises(ModelError):
+                x.reshape(*bad)
+
+
+class TestModeFlagsPerThread:
+    @pytest.mark.parametrize(
+        "mode, is_on, inside",
+        [
+            (batch_invariant, is_batch_invariant, True),
+            (no_grad, is_grad_enabled, False),
+        ],
+    )
+    def test_other_thread_leaving_a_mode_keeps_ours(self, mode, is_on, inside):
+        # B enters first and leaves while A is inside: with one flag per
+        # process, B's exit restored the value B saw on entry under A.
+        b_inside, a_inside, b_left = (
+            threading.Barrier(2, timeout=10) for _ in range(3)
+        )
+        seen = {}
+
+        def thread_a():
+            b_inside.wait()
+            with mode():
+                a_inside.wait()
+                b_left.wait()
+                seen["inside"] = is_on()
+            seen["after"] = is_on()
+
+        def thread_b():
+            with mode():
+                b_inside.wait()
+                a_inside.wait()
+            b_left.wait()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"inside": inside, "after": not inside}
+        assert is_on() is not inside
+
+    def test_new_thread_starts_from_defaults(self):
+        seen = []
+        with batch_invariant(), no_grad():
+            thread = threading.Thread(
+                target=lambda: seen.append(
+                    (is_batch_invariant(), is_grad_enabled())
+                )
+            )
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [(False, True)]
 
 
 class TestBackwardMechanics:

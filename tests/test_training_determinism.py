@@ -1,11 +1,10 @@
-"""Training determinism across the cached / reference / CSR paths.
+"""Training determinism across the cached and reference paths.
 
-The contract of the batch-cache overhaul: with the same seed, the
-default cached path produces **bit-identical** per-epoch losses,
-validation losses, and final weights to the from-scratch
-``GraphBatch.from_graphs`` loop — including under ``batch_invariant()``
-and against the seed ``np.add.at`` kernels (``reference_scatter``).
-The opt-in CSR path is equivalence-tested within float tolerance.
+The contract of the batch cache: with the same seed, the default cached
+path produces **bit-identical** per-epoch losses, validation losses,
+and final weights to the from-scratch ``GraphBatch.from_graphs`` loop —
+including under ``batch_invariant()`` and against the seed
+``np.add.at`` kernels (``reference_scatter``).
 """
 
 from __future__ import annotations
@@ -79,35 +78,6 @@ def test_bitwise_identical_under_batch_invariant(dataset):
         )
     assert cached_history.losses == ref_history.losses
     assert np.array_equal(cached_weights, ref_weights)
-
-
-def test_csr_kernels_equivalent(dataset):
-    csr_history, csr_weights = _fit(dataset, csr_kernels=True)
-    ref_history, ref_weights = _fit(
-        dataset, reference=True, compile_batches=False
-    )
-    np.testing.assert_allclose(
-        csr_history.losses, ref_history.losses, rtol=1e-9, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        csr_history.validation_losses,
-        ref_history.validation_losses,
-        rtol=1e-9,
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        csr_weights, ref_weights, rtol=1e-6, atol=1e-8
-    )
-
-
-def test_csr_without_batch_cache_equivalent(dataset):
-    csr_history, _ = _fit(dataset, compile_batches=False, csr_kernels=True)
-    ref_history, _ = _fit(
-        dataset, reference=True, compile_batches=False
-    )
-    np.testing.assert_allclose(
-        csr_history.losses, ref_history.losses, rtol=1e-9, atol=1e-12
-    )
 
 
 def test_validation_batch_built_once(dataset, monkeypatch):
