@@ -58,7 +58,7 @@ def bench_serving(
     latency percentiles.
     """
     from repro.gnn.predictor import QAOAParameterPredictor
-    from repro.serving import PredictionService, ServingConfig
+    from repro.serving import PredictionService
 
     rng = np.random.default_rng(seed)
     # Irregular graphs: same-size regular graphs share a WL hash (by
@@ -80,9 +80,7 @@ def bench_serving(
     clients = ParallelExecutor(
         backend="thread", max_workers=threads, chunk_size=1, report_every=0
     )
-    with PredictionService(
-        model=model, config=ServingConfig(max_wait_ms=1.0)
-    ) as service:
+    with PredictionService(model=model) as service:
         start = time.perf_counter()
         clients.map(service.predict, graphs)
         cold_wall = time.perf_counter() - start
@@ -164,7 +162,7 @@ def bench_serving_scale(
     bodies = graph_request_bodies(graphs)
     model = QAOAParameterPredictor(arch="gin", p=1, hidden_dim=16, rng=seed)
     model.eval()
-    serving_config = ServingConfig(max_wait_ms=1.0)
+    serving_config = ServingConfig()
 
     def collect_answers(port: int) -> list:
         import json as _json

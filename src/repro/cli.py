@@ -395,7 +395,6 @@ def _add_serve(subparsers) -> None:
         help="seconds before a cached prediction expires (default: never)",
     )
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes; >1 switches to the scale stack (async "
@@ -509,7 +508,6 @@ def _cmd_serve(args) -> int:
         cache_size=args.cache_size,
         cache_ttl_s=args.cache_ttl,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         workers=1 if scale else args.workers,
         batching=not args.no_batching,
         default_p=args.p,

@@ -200,9 +200,12 @@ class QAOAParameterPredictor(Module):
         Runs under :func:`~repro.nn.tensor.batch_invariant`, so each
         graph's row is bit-identical no matter which other graphs share
         the batch — the contract the serving micro-batcher relies on.
+        A model already in eval mode (every served model) skips the
+        mode walk over its modules.
         """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             batch = GraphBatch.from_graphs(
                 graphs,

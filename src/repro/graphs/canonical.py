@@ -20,6 +20,7 @@ stays semantically exact for the architectures it fronts.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from repro.graphs.graph import Graph
@@ -106,9 +107,7 @@ def wl_canonical_hash(graph: Graph, max_iterations: int = None) -> str:
     digest.update(f"wl-v{WL_HASH_VERSION}\x00".encode())
     digest.update(f"n={graph.num_nodes}\x00m={graph.num_edges}\x00".encode())
     for colors in wl_color_classes(graph, max_iterations):
-        histogram = sorted(
-            (color, colors.count(color)) for color in set(colors)
-        )
+        histogram = sorted(Counter(colors).items())
         digest.update(repr(histogram).encode())
         digest.update(b"\x00")
     return digest.hexdigest()

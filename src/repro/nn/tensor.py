@@ -88,13 +88,39 @@ def is_batch_invariant() -> bool:
     return _MODES.batch_invariant
 
 
-def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` via k-ordered outer-product accumulation.
+#: Most rows :func:`rowwise_matmul` computes in one pass. Past about 64
+#: rows the per-``(row, k)`` inner loops of the reduce cost more than the
+#: column loop's two numpy calls per k (crossover measured at 64-96 rows
+#: for k in 15-64, j in 2-32).
+ONE_PASS_MAX_ROWS = 64
 
-    Each output row is built by the same fixed-order sequence of fused
-    multiply-adds no matter how many rows ``a`` has, so results for a row
-    never depend on the rest of the batch. Intended for the small inner
-    dimensions of inference (k <= 64); training keeps BLAS gemm.
+
+def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` via k-ordered accumulation, bit-identical per row.
+
+    Row ``i`` of the result is ``((0 + a[i,0] b[0]) + a[i,1] b[1]) + ...``
+    with every product rounded before its add, no matter how many rows
+    ``a`` has, so results for a row never depend on the rest of the
+    batch. Training keeps BLAS gemm.
+
+    Small inputs form all ``(rows, k, j)`` products in one multiply and
+    sum over k in one reduce. In a C-ordered product with ``j >= 2`` the
+    k axis is not the contiguous one, so numpy adds in k order exactly
+    like :func:`rowwise_matmul_loop`. With ``j == 1`` it is, and numpy
+    switches to pairwise summation, so that case, and row counts where
+    the loop is faster, run the loop.
+    """
+    if b.shape[1] == 1 or a.shape[0] > ONE_PASS_MAX_ROWS:
+        return rowwise_matmul_loop(a, b)
+    products = np.multiply(a[:, :, None], b, order="C")
+    return np.add.reduce(products, axis=1, initial=0.0)
+
+
+def rowwise_matmul_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as one multiply-add per inner-dimension column.
+
+    The reference for :func:`rowwise_matmul`, which calls it where one
+    pass would not be faster or would not add in k order.
     """
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
     for k in range(b.shape[0]):
@@ -329,9 +355,13 @@ class Tensor:
         other = _as_tensor(other)
         self_data, other_data = self.data, other.data
 
+        # Each product only for an operand that takes a gradient:
+        # _accumulate would drop it otherwise.
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other_data)
-            other._accumulate(grad * self_data)
+            if self.requires_grad:
+                self._accumulate(grad * other_data)
+            if other.requires_grad:
+                other._accumulate(grad * self_data)
 
         return Tensor._make(self_data * other_data, (self, other), backward)
 
@@ -343,8 +373,10 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_data)
-            other._accumulate(-grad * self_data / other_data**2)
+            if self.requires_grad:
+                self._accumulate(grad / other_data)
+            if other.requires_grad:
+                other._accumulate(-grad * self_data / other_data**2)
 
         return Tensor._make(self_data / other_data, (self, other), backward)
 
@@ -373,8 +405,10 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ other_data.T)
-            other._accumulate(self_data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other_data.T)
+            if other.requires_grad:
+                other._accumulate(self_data.T @ grad)
 
         product = (
             rowwise_matmul(self_data, other_data)

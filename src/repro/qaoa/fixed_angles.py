@@ -9,16 +9,17 @@ dataset".
 Substitution (no network access to the published lookup tables): at
 p = 1 the angles have the exact closed form ``gamma = arctan(1 /
 sqrt(d-1))``, ``beta = pi/8`` (see :mod:`repro.qaoa.analytic`), which is
-what the conjecture tabulates. For p >= 2 we regenerate *transfer
-angles* the same way the original authors did — optimize on an ensemble
-of random d-regular instances and keep the angles that maximize the mean
-ratio — and cache them per (degree, depth). The coverage window (degrees
-3-11) mirrors the paper's statement, so the "~6% coverage" ablation is
-faithful.
+what the conjecture tabulates; a p = 1 lookup never simulates. For
+p >= 2 we regenerate *transfer angles* the same way the original authors
+did — optimize on an ensemble of random d-regular instances and keep the
+angles that maximize the mean ratio — and cache them per (degree,
+depth). The coverage window (degrees 3-11) mirrors the paper's
+statement, so the "~6% coverage" ablation is faithful.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -45,7 +46,9 @@ class FixedAngles:
     p: int
     gammas: Tuple[float, ...]
     betas: Tuple[float, ...]
-    mean_ratio: float
+    #: Mean approximation ratio the transfer optimization reached on its
+    #: ensemble; ``None`` at p = 1, whose closed-form angles need none.
+    mean_ratio: Optional[float]
 
 
 class FixedAngleTable:
@@ -65,6 +68,7 @@ class FixedAngleTable:
         self.restarts = restarts
         self._rng = ensure_rng(rng if rng is not None else 20240305)
         self._cache: Dict[Tuple[int, int], FixedAngles] = {}
+        self._lock = threading.Lock()
 
     def covers(self, degree: int, p: int = 1) -> bool:
         """True if (degree, p) is inside the published coverage window."""
@@ -82,24 +86,26 @@ class FixedAngleTable:
                 f"(coverage: degrees {MIN_COVERED_DEGREE}-{MAX_COVERED_DEGREE})"
             )
         key = (degree, p)
-        if key not in self._cache:
-            self._cache[key] = self._compute(degree, p)
-        return self._cache[key]
+        entry = self._cache.get(key)
+        if entry is None:
+            # Computed once, under the lock: concurrent first lookups
+            # would otherwise both compute and interleave their draws
+            # from the shared ``_rng``.
+            with self._lock:
+                entry = self._cache.get(key)
+                if entry is None:
+                    entry = self._cache[key] = self._compute(degree, p)
+        return entry
 
     def _compute(self, degree: int, p: int) -> FixedAngles:
         if p == 1:
             gamma, beta = p1_optimal_angles_regular(degree)
-            ensemble = self._ensemble(degree)
-            ratios = [
-                QAOASimulator(problem).approximation_ratio([gamma], [beta])
-                for problem in ensemble
-            ]
             return FixedAngles(
                 degree=degree,
                 p=1,
                 gammas=(float(gamma),),
                 betas=(float(beta),),
-                mean_ratio=float(np.mean(ratios)),
+                mean_ratio=None,
             )
         return self._transfer_angles(degree, p)
 

@@ -1,10 +1,12 @@
 """Micro-batching request queue for online inference.
 
 Concurrent prediction requests are coalesced into a single
-:class:`~repro.gnn.batching.GraphBatch` forward pass: the dispatcher
-thread drains up to ``max_batch_size`` queued graphs, waiting at most
-``max_wait_ms`` after the first arrival so a lone request is never
-stalled behind an empty queue. Large drained batches can additionally be
+:class:`~repro.gnn.batching.GraphBatch` forward pass. Batching is
+greedy: whenever the dispatcher thread is free it takes whatever is
+queued, up to ``max_batch_size`` graphs, and runs it at once. A lone
+request never waits for companions; requests that arrive during a
+forward form the next batch, so batches grow exactly as far as the load
+outruns the forward pass. Large drained batches can additionally be
 split across a :class:`~repro.runtime.ParallelExecutor` (thread backend
 — the workers share the model) to overlap forward passes.
 
@@ -18,7 +20,6 @@ unbatched — coalescing is purely a throughput decision.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -74,9 +75,6 @@ class MicroBatcher:
         ``model.predict``.
     max_batch_size:
         Most graphs dispatched in one forward pass.
-    max_wait_ms:
-        How long the dispatcher holds the first queued request open for
-        companions before running a partial batch.
     executor:
         Optional :class:`ParallelExecutor` (thread backend) used to split
         a drained batch into concurrent chunk forwards.
@@ -89,19 +87,15 @@ class MicroBatcher:
         self,
         forward_fn: Callable[[Sequence[Graph]], np.ndarray],
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         executor: Optional[ParallelExecutor] = None,
         chunk_size: Optional[int] = None,
     ):
         if max_batch_size < 1:
             raise BatchingError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise BatchingError("max_wait_ms must be >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise BatchingError("chunk_size must be >= 1")
         self.forward_fn = forward_fn
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.executor = executor
         self.chunk_size = chunk_size
         self._lock = threading.Lock()
@@ -168,14 +162,6 @@ class MicroBatcher:
                 self._has_work.wait()
             if not self._queue:
                 return None  # closed and drained
-            # Hold the first request open briefly so companions can join.
-            deadline = time.monotonic() + self.max_wait_s
-            while (
-                len(self._queue) < self.max_batch_size and not self._closed
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._has_work.wait(remaining):
-                    break
             batch = self._queue[: self.max_batch_size]
             del self._queue[: self.max_batch_size]
             self.num_batches += 1
@@ -228,6 +214,5 @@ class MicroBatcher:
                 ),
                 "max_occupancy": self.max_occupancy,
                 "max_batch_size": self.max_batch_size,
-                "max_wait_ms": self.max_wait_s * 1000.0,
                 "queued": len(self._queue),
             }

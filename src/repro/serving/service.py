@@ -45,7 +45,6 @@ class ServingConfig:
     cache_size: int = 4096
     cache_ttl_s: Optional[float] = None
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     workers: int = 1
     batching: bool = True
     #: Deadline for the model path of one request (micro-batch queueing
@@ -379,7 +378,6 @@ class PredictionService:
                 batcher = MicroBatcher(
                     entry.model.predict,
                     max_batch_size=self.config.max_batch_size,
-                    max_wait_ms=self.config.max_wait_ms,
                     executor=self._executor,
                 )
                 self._batchers[entry.name] = (entry.fingerprint, batcher)
@@ -444,7 +442,6 @@ class PredictionService:
                 "cache_size": self.config.cache_size,
                 "cache_ttl_s": self.config.cache_ttl_s,
                 "max_batch_size": self.config.max_batch_size,
-                "max_wait_ms": self.config.max_wait_ms,
                 "workers": self.config.workers,
                 "batching": self.config.batching,
                 "default_p": self.config.default_p,

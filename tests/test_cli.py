@@ -230,6 +230,7 @@ class TestTrainingFlags:
              "--backend", "numpy"],
             ["train", "--dataset", "ds.json", "--out", "m.json",
              "--fast-kernels"],
+            ["serve", "--max-wait-ms", "2"],
         ],
     )
     def test_removed_command_and_flags_are_rejected(self, argv):

@@ -96,7 +96,7 @@ class TestHotSwap:
         service = PredictionService(
             model=make_model(1),
             config=ServingConfig(
-                default_p=1, batching=True, max_batch_size=2, max_wait_ms=1.0
+                default_p=1, batching=True, max_batch_size=2
             ),
         )
         try:

@@ -18,7 +18,7 @@ from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.graph import Graph
 from repro.nn.optim import Adam
 from repro.nn.losses import mse_loss
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, rowwise_matmul_loop
 
 
 class TestPooling:
@@ -134,6 +134,24 @@ class TestPredictor:
             assert rows.shape == (count, 4)
             for graph, row in zip(graphs, rows):
                 assert row.tobytes() == model.predict([graph])[0].tobytes()
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_predict_bytes_match_loop_kernel(self, arch, p, monkeypatch):
+        # The one-pass batch-invariant matmul moves no served byte: the
+        # same rows as the per-column loop for single graphs, a batch
+        # under the one-pass row limit and one past it.
+        model = QAOAParameterPredictor(arch=arch, p=p, rng=11)
+        model.eval()
+        graphs = [
+            erdos_renyi_graph(5 + i % 10, 0.5, rng=90 + i) for i in range(12)
+        ]
+        batches = [[graph] for graph in graphs] + [graphs[:5], graphs]
+        fast = [model.predict(batch).tobytes() for batch in batches]
+        monkeypatch.setattr(
+            "repro.nn.tensor.rowwise_matmul", rowwise_matmul_loop
+        )
+        assert [model.predict(batch).tobytes() for batch in batches] == fast
 
     def test_concurrent_predicts_match_serial(self):
         # More threads than cores and a tiny switch interval. Enough new

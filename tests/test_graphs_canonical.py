@@ -1,5 +1,7 @@
 """Tests for the WL canonical hash (`repro.graphs.canonical`)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.graphs.generators import (
     feasible_regular_degrees,
     random_connected_graph,
     random_regular_graph,
+    random_weighted_graph,
 )
 from repro.graphs.graph import Graph
 
@@ -26,6 +29,21 @@ def relabel(graph: Graph, perm) -> Graph:
 def final_colors(graph: Graph):
     """The stable (last-round) WL coloring."""
     return wl_color_classes(graph)[-1]
+
+
+def count_histogram_hash(graph: Graph) -> str:
+    """The digest built from one ``colors.count`` per distinct color: the
+    oracle for the one-pass histogram, which must not move a cache key."""
+    digest = hashlib.sha256()
+    digest.update(f"wl-v{WL_HASH_VERSION}\x00".encode())
+    digest.update(f"n={graph.num_nodes}\x00m={graph.num_edges}\x00".encode())
+    for colors in wl_color_classes(graph):
+        histogram = sorted(
+            (color, colors.count(color)) for color in set(colors)
+        )
+        digest.update(repr(histogram).encode())
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 class TestColorClasses:
@@ -76,6 +94,24 @@ class TestHashInvariance:
         digest = wl_canonical_hash(triangle)
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 15, 31, 64, 120, 200])
+    def test_digest_equals_count_histogram(self, n, rng):
+        seed = int(rng.integers(0, 2**31))
+        sparse = min(1.0, 3.0 / n)
+        graphs = [
+            random_connected_graph(n, sparse, rng=seed),
+            random_weighted_graph(n, sparse, rng=seed),
+        ]
+        # Weights from a small set tie edges, so classes stay coarse.
+        tied = graphs[0].with_weights(
+            rng.choice([0.5, 1.0, 2.0], size=graphs[0].num_edges)
+        )
+        graphs.append(tied)
+        if n >= 4:
+            graphs.append(random_regular_graph(n - n % 2, 3, rng=seed))
+        for graph in graphs:
+            assert wl_canonical_hash(graph) == count_histogram_hash(graph)
 
 
 class TestHashSensitivity:

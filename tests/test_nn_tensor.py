@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
 from repro.nn.tensor import (
+    ONE_PASS_MAX_ROWS,
     Tensor,
     batch_invariant,
     concat,
     is_batch_invariant,
     is_grad_enabled,
     no_grad,
+    rowwise_matmul,
+    rowwise_matmul_loop,
     stack,
     where,
 )
@@ -316,6 +319,35 @@ class TestModeFlagsPerThread:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert seen == [(False, True)]
+
+
+class TestRowwiseMatmul:
+    @staticmethod
+    def operand(rng, shape, fortran):
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
+        draw = rng.random(shape)
+        x[draw < 0.1] = 0.0
+        x[(draw >= 0.1) & (draw < 0.2)] = -0.0
+        return np.asfortranarray(x) if fortran else x
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 32, 33, 64])
+    def test_bytes_equal_loop_reference(self, j):
+        rng = np.random.default_rng(j)
+        shapes = [(1, 1), (ONE_PASS_MAX_ROWS, 70), (700, 70)]
+        for limit in (ONE_PASS_MAX_ROWS, 700):
+            shapes += [
+                (int(rng.integers(1, limit + 1)), int(rng.integers(1, 71)))
+                for _ in range(20)
+            ]
+        for index, (rows, k) in enumerate(shapes):
+            a = self.operand(rng, (rows, k), fortran=index % 2 == 1)
+            b = self.operand(rng, (k, j), fortran=index % 4 >= 2)
+            product = rowwise_matmul(a, b)
+            assert product.tobytes() == rowwise_matmul_loop(a, b).tobytes()
+            # A row alone gives the same bytes as inside the batch.
+            row = int(rng.integers(0, rows))
+            alone = rowwise_matmul(a[row : row + 1], b)
+            assert alone.tobytes() == product[row : row + 1].tobytes()
 
 
 class TestBackwardMechanics:

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +45,41 @@ def model():
 def relabel(graph: Graph, perm) -> Graph:
     edges = [(int(perm[u]), int(perm[v])) for u, v in graph.edges]
     return Graph.from_edges(graph.num_nodes, edges, graph.weights)
+
+
+class HeldForward:
+    """A forward pass whose first call waits until ``total`` graphs are
+    in: the ones it was handed plus ``queued()`` still in the queue.
+
+    Every submission then lands while the first forward runs, so the
+    greedy batcher hands all the rest to the second forward: coalescing
+    is deterministic instead of racing a wait window.
+    """
+
+    def __init__(self, forward, total, queued):
+        self.forward = forward
+        self.total = total
+        self.queued = queued
+        self.first = True
+
+    def __call__(self, graphs):
+        if self.first:
+            self.first = False
+            deadline = time.monotonic() + 10.0
+            while len(graphs) + self.queued() < self.total:
+                if time.monotonic() > deadline:
+                    raise AssertionError("submissions never queued")
+                time.sleep(0.001)
+        return self.forward(graphs)
+
+
+def run_threads(target, items) -> None:
+    threads = [threading.Thread(target=target, args=(item,)) for item in items]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +252,7 @@ class TestPredictionCache:
 # ----------------------------------------------------------------------
 class TestMicroBatcher:
     def test_single_request_answered(self, model, triangle):
-        with MicroBatcher(model.predict, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(model.predict) as batcher:
             row = batcher.predict(triangle)
         assert row.shape == (2 * model.p,)
 
@@ -230,20 +266,17 @@ class TestMicroBatcher:
         ]
         singles = [model.predict([g])[0] for g in graphs]
         results = [None] * len(graphs)
-        # Long wait so all submissions coalesce into one forward pass.
-        with MicroBatcher(model.predict, max_wait_ms=200.0) as batcher:
+        held = HeldForward(
+            model.predict, len(graphs), lambda: batcher.stats()["queued"]
+        )
+        with MicroBatcher(held) as batcher:
             def worker(i):
                 results[i] = batcher.predict(graphs[i])
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(len(graphs))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            run_threads(worker, range(len(graphs)))
             stats = batcher.stats()
-        assert stats["max_occupancy"] > 1  # actually coalesced
+        # Whatever the first forward took, the rest came in one batch.
+        assert stats["batches"] <= 2
+        assert stats["max_occupancy"] >= len(graphs) // 2
         for single, batched in zip(singles, results):
             np.testing.assert_array_equal(single, batched)
 
@@ -251,14 +284,14 @@ class TestMicroBatcher:
         def broken(graphs):
             raise BatchingError("boom")
 
-        with MicroBatcher(broken, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(broken) as batcher:
             pending = batcher.submit(triangle)
             with pytest.raises(BatchingError, match="boom"):
                 pending.result(timeout=5.0)
 
     def test_row_count_mismatch_detected(self, triangle):
         with MicroBatcher(
-            lambda graphs: np.zeros((len(graphs) + 1, 2)), max_wait_ms=1.0
+            lambda graphs: np.zeros((len(graphs) + 1, 2))
         ) as batcher:
             with pytest.raises(BatchingError, match="rows"):
                 batcher.predict(triangle, timeout=5.0)
@@ -272,8 +305,6 @@ class TestMicroBatcher:
     def test_invalid_config_rejected(self, model):
         with pytest.raises(BatchingError):
             MicroBatcher(model.predict, max_batch_size=0)
-        with pytest.raises(BatchingError):
-            MicroBatcher(model.predict, max_wait_ms=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -414,23 +445,24 @@ class TestPredictionService:
             second = service_b.predict(triangle)
         assert first.cache_key != second.cache_key
 
-    def test_concurrent_requests_coalesce(self, model, rng):
+    def test_concurrent_requests_coalesce(self, model, rng, monkeypatch):
         graphs = [
             random_connected_graph(
                 int(rng.integers(5, 12)), rng=int(rng.integers(0, 2**31))
             )
             for _ in range(8)
         ]
-        config = ServingConfig(max_wait_ms=100.0)
-        with PredictionService(model=model, config=config) as service:
-            threads = [
-                threading.Thread(target=service.predict, args=(g,))
-                for g in graphs
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        with PredictionService(model=model) as service:
+            monkeypatch.setattr(model, "predict", HeldForward(
+                model.predict, len(graphs),
+                lambda: service.metrics_snapshot()["batcher"]["default"][
+                    "queued"
+                ],
+            ))
+            run_threads(service.predict, graphs)
             snapshot = service.metrics_snapshot()
         assert snapshot["requests"] == 8
-        assert snapshot["batcher"]["default"]["max_occupancy"] > 1
+        assert snapshot["sources"] == {SOURCE_MODEL: 8}
+        batcher = snapshot["batcher"]["default"]
+        assert batcher["batches"] <= 2
+        assert batcher["max_occupancy"] >= 4

@@ -232,7 +232,6 @@ class TestServiceDegradation:
 
         service = make_service(
             batching=True,
-            max_wait_ms=1.0,
             request_timeout_s=0.05,
             breaker_threshold=1,
         )

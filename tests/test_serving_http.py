@@ -24,9 +24,7 @@ def server():
     """A live server on an ephemeral port, shared across this module."""
     model = QAOAParameterPredictor(arch="gcn", p=1, hidden_dim=16, rng=3)
     model.eval()
-    service = PredictionService(
-        model=model, config=ServingConfig(max_wait_ms=1.0)
-    )
+    service = PredictionService(model=model, config=ServingConfig())
     with ServingHTTPServer(service, port=0).start_background() as running:
         yield running
 
@@ -182,6 +180,7 @@ class TestHTTPEndpoints:
         assert body["status"] == "ok"
         assert body["models"][0]["arch"] == "gcn"
         assert body["config"]["max_batch_size"] == 32
+        assert "max_wait_ms" not in body["config"]  # batching is greedy
 
     def test_ephemeral_port_reported(self, server):
         assert server.port > 0

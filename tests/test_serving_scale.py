@@ -80,7 +80,7 @@ def server(model):
     config = ScaleConfig(workers=2, max_inflight=32)
     pool = WorkerPool(
         model=model,
-        serving_config=ServingConfig(max_wait_ms=1.0),
+        serving_config=ServingConfig(),
         scale_config=config,
     )
     running = ScaleServingServer(
@@ -93,9 +93,7 @@ def server(model):
 
 @pytest.fixture(scope="module")
 def reference(model):
-    service = PredictionService(
-        model=model, config=ServingConfig(max_wait_ms=1.0)
-    )
+    service = PredictionService(model=model, config=ServingConfig())
     yield service
     service.close()
 
@@ -220,7 +218,7 @@ class TestHotSwap:
             )
         # Post-swap answers are bit-identical to the new model.
         expected_service = PredictionService(
-            model=new_model, config=ServingConfig(max_wait_ms=1.0)
+            model=new_model, config=ServingConfig()
         )
         try:
             for graph in graphs:

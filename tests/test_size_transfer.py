@@ -392,7 +392,7 @@ class TestLargeGraphScaleStack:
         config = ScaleConfig(workers=2, max_inflight=32)
         pool = WorkerPool(
             model=model,
-            serving_config=ServingConfig(max_wait_ms=1.0),
+            serving_config=ServingConfig(),
             scale_config=config,
         )
         server = ScaleServingServer(
