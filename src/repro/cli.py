@@ -396,47 +396,20 @@ def _add_serve(subparsers) -> None:
     )
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; >1 switches to the scale stack (async "
-        "front-end + forked workers over shared weights + sharded cache)",
-    )
-    parser.add_argument(
-        "--inference-threads", type=int, default=4,
-        help="scale stack: threads per worker feeding its micro-batcher",
-    )
-    parser.add_argument(
         "--max-inflight", type=int, default=64,
-        help="scale stack: admitted requests in flight before new ones "
-        "degrade to the front-end fallback chain",
-    )
-    parser.add_argument(
-        "--shed-deadline-ms", type=float, default=1000.0,
-        help="scale stack: admitted requests unanswered past this are "
-        "dropped with 503 + Retry-After",
-    )
-    parser.add_argument(
-        "--shed-factor", type=float, default=2.0,
-        help="scale stack: shed (503) once inflight exceeds "
-        "max-inflight * this factor",
-    )
-    parser.add_argument(
-        "--l1-cache-size", type=int, default=2048,
-        help="scale stack: front-end hot-set cache entries (0 disables)",
-    )
-    parser.add_argument(
-        "--cache-snapshot", type=Path, default=None,
-        help="scale stack: warm every worker's cache from this snapshot "
-        "at startup and write it back on shutdown",
+        help="admitted /predict requests in flight before new ones are "
+        "degraded to cache-or-fallback answers; twice this many inside "
+        "the server sheds new ones with 503 + Retry-After",
     )
     parser.add_argument(
         "--max-request-nodes", type=int, default=None,
         help="reject /predict graphs above this node count with a 400 "
-        "(default: 1024); applies to both serving stacks",
+        "(default: 1024)",
     )
     parser.add_argument(
         "--max-request-edges", type=int, default=None,
         help="reject /predict graphs above this edge count with a 400 "
-        "(default: 32768); applies to both serving stacks",
+        "(default: 32768)",
     )
     parser.add_argument(
         "--no-batching", action="store_true",
@@ -503,12 +476,10 @@ def _cmd_serve(args) -> int:
         args.max_request_nodes = DEFAULT_MAX_REQUEST_NODES
     if args.max_request_edges is None:
         args.max_request_edges = DEFAULT_MAX_REQUEST_EDGES
-    scale = args.workers > 1
     config = ServingConfig(
         cache_size=args.cache_size,
         cache_ttl_s=args.cache_ttl,
         max_batch_size=args.max_batch_size,
-        workers=1 if scale else args.workers,
         batching=not args.no_batching,
         default_p=args.p,
         request_timeout_s=args.request_timeout,
@@ -526,8 +497,6 @@ def _cmd_serve(args) -> int:
             sample_rate=args.replay_sample_rate,
         )
     model = load_model(args.model) if args.model is not None else None
-    if scale:
-        return _serve_scale(args, config, model, replay_log)
     service = PredictionService(
         model=model, config=config, replay_log=replay_log
     )
@@ -548,6 +517,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         max_request_nodes=args.max_request_nodes,
         max_request_edges=args.max_request_edges,
+        max_inflight=args.max_inflight,
     )
     print(f"serving on http://{server.address[0]}:{server.port}")
     try:
@@ -555,87 +525,6 @@ def _cmd_serve(args) -> int:
     finally:
         if watcher is not None:
             watcher.stop()
-    return 0
-
-
-def _serve_scale(args, config, model, replay_log) -> int:
-    """`repro serve --workers N` (N > 1): the multi-process stack.
-
-    Workers are forked (inside :class:`WorkerPool`) before the watcher
-    thread or the front-end event loop starts — fork safety demands no
-    threads exist in the parent at fork time.
-    """
-    from repro.serving.scale import (
-        ScaleConfig,
-        ScaleServingServer,
-        WorkerPool,
-    )
-
-    scale_config = ScaleConfig(
-        workers=args.workers,
-        max_inflight=args.max_inflight,
-        shed_factor=args.shed_factor,
-        shed_deadline_ms=args.shed_deadline_ms,
-        inference_threads=args.inference_threads,
-        l1_cache_size=args.l1_cache_size,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-    )
-    pool = WorkerPool(
-        model=model, serving_config=config, scale_config=scale_config
-    )
-    server = ScaleServingServer(
-        pool,
-        model=model,
-        host=args.host,
-        port=args.port,
-        scale_config=scale_config,
-        replay_log=replay_log,
-        cache_snapshot_path=args.cache_snapshot,
-        max_request_nodes=args.max_request_nodes,
-        max_request_edges=args.max_request_edges,
-    )
-    if args.cache_snapshot is not None and args.cache_snapshot.exists():
-        loaded = server.load_cache_snapshot(args.cache_snapshot)
-        print(f"warmed {loaded} cache entries from {args.cache_snapshot}")
-    watcher = None
-    if args.watch_store is not None:
-        from repro.flywheel import ModelWatcher
-
-        watcher = ModelWatcher(
-            server,
-            str(args.watch_store),
-            poll_interval_s=args.watch_interval,
-        )
-        watcher.check_once()
-        watcher.start()
-    server.start_background()
-    print(
-        f"serving on http://{server.address[0]}:{server.port} "
-        f"({args.workers} workers, max-inflight {args.max_inflight}, "
-        f"shed deadline {args.shed_deadline_ms:.0f}ms)"
-    )
-
-    # A supervisor's SIGTERM must be a graceful shutdown — drain the
-    # pool and write the cache snapshot — not a hard kill that skips
-    # the finally block.
-    import signal as _signal
-
-    def _on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
-        raise KeyboardInterrupt
-
-    _signal.signal(_signal.SIGTERM, _on_sigterm)
-    try:
-        while True:
-            server._thread.join(timeout=1.0)
-            if server._thread is None or not server._thread.is_alive():
-                break
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if watcher is not None:
-            watcher.stop()
-        server.close()
     return 0
 
 

@@ -13,7 +13,9 @@ what the conjecture tabulates; a p = 1 lookup never simulates. For
 p >= 2 we regenerate *transfer angles* the same way the original authors
 did — optimize on an ensemble of random d-regular instances and keep the
 angles that maximize the mean ratio — and cache them per (degree,
-depth). The coverage window (degrees 3-11) mirrors the paper's
+depth). Each entry draws its ensemble and restarts from its own stream,
+seeded by (table seed, degree, depth), so an entry does not depend on
+which entries the process computed before it. The coverage window (degrees 3-11) mirrors the paper's
 statement, so the "~6% coverage" ablation is faithful.
 """
 
@@ -31,7 +33,7 @@ from repro.graphs.graph import Graph
 from repro.maxcut.problem import MaxCutProblem
 from repro.qaoa.analytic import p1_optimal_angles_regular
 from repro.qaoa.simulator import QAOASimulator
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 #: Degrees covered by the published fixed-angle tables.
 MIN_COVERED_DEGREE = 3
@@ -66,7 +68,14 @@ class FixedAngleTable:
         self.ensemble_nodes = ensemble_nodes
         self.optimizer_iters = optimizer_iters
         self.restarts = restarts
-        self._rng = ensure_rng(rng if rng is not None else 20240305)
+        if rng is None:
+            rng = 20240305
+        #: Root of every entry's stream (see :meth:`_entry_rng`).
+        self.seed = (
+            int(rng.integers(0, 2**63 - 1))
+            if isinstance(rng, np.random.Generator)
+            else int(rng)
+        )
         self._cache: Dict[Tuple[int, int], FixedAngles] = {}
         self._lock = threading.Lock()
 
@@ -89,8 +98,7 @@ class FixedAngleTable:
         entry = self._cache.get(key)
         if entry is None:
             # Computed once, under the lock: concurrent first lookups
-            # would otherwise both compute and interleave their draws
-            # from the shared ``_rng``.
+            # would otherwise both run the same transfer optimization.
             with self._lock:
                 entry = self._cache.get(key)
                 if entry is None:
@@ -109,9 +117,14 @@ class FixedAngleTable:
             )
         return self._transfer_angles(degree, p)
 
+    def _entry_rng(self, degree: int, p: int) -> np.random.Generator:
+        """The (degree, p) entry's own stream, independent of lookup order."""
+        return np.random.default_rng([self.seed, degree, p])
+
     def _transfer_angles(self, degree: int, p: int) -> FixedAngles:
         """Optimize shared angles over an ensemble of random d-regular graphs."""
-        ensemble = self._ensemble(degree)
+        rng = self._entry_rng(degree, p)
+        ensemble = self._ensemble(degree, rng)
         simulators = [QAOASimulator(problem) for problem in ensemble]
         optima = np.array([sim.problem.max_cut_value() for sim in simulators])
 
@@ -135,8 +148,8 @@ class FixedAngleTable:
                 gammas = np.linspace(0.6, 1.2, p) * gamma1
                 betas = np.linspace(1.2, 0.5, p) * beta1
             else:
-                gammas = self._rng.uniform(0.0, np.pi / 2, size=p)
-                betas = self._rng.uniform(0.0, np.pi / 4, size=p)
+                gammas = rng.uniform(0.0, np.pi / 2, size=p)
+                betas = rng.uniform(0.0, np.pi / 4, size=p)
             optimizer = _EnsembleAdam(learning_rate=0.05)
             gammas, betas, ratio = optimizer.run(
                 mean_ratio_and_grad, gammas, betas, self.optimizer_iters
@@ -152,7 +165,7 @@ class FixedAngleTable:
             mean_ratio=float(ratio),
         )
 
-    def _ensemble(self, degree: int):
+    def _ensemble(self, degree: int, rng: np.random.Generator):
         problems = []
         attempts = 0
         while len(problems) < self.ensemble_size and attempts < 10 * self.ensemble_size:
@@ -163,7 +176,7 @@ class FixedAngleTable:
             if degree >= num_nodes:
                 num_nodes = degree + 1 + ((degree + 1) * degree) % 2
             try:
-                graph = random_regular_graph(num_nodes, degree, self._rng)
+                graph = random_regular_graph(num_nodes, degree, rng)
             except GraphError:
                 continue
             problems.append(MaxCutProblem(graph))
@@ -205,13 +218,17 @@ class _EnsembleAdam:
 
 
 _DEFAULT_TABLE: Optional[FixedAngleTable] = None
+_DEFAULT_TABLE_LOCK = threading.Lock()
 
 
 def default_table() -> FixedAngleTable:
-    """Process-wide shared fixed-angle table."""
+    """Process-wide shared fixed-angle table (built once, under a lock,
+    so concurrent first callers share one table and its entries)."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = FixedAngleTable()
+        with _DEFAULT_TABLE_LOCK:
+            if _DEFAULT_TABLE is None:
+                _DEFAULT_TABLE = FixedAngleTable()
     return _DEFAULT_TABLE
 
 

@@ -4,10 +4,12 @@ Turns trained predictors into a prediction service: load checkpoints
 through :class:`ModelRegistry`, answer requests through
 :class:`PredictionService` (WL-canonical cache -> micro-batched model
 forward -> classical fallback chain), and expose it over HTTP with
-:class:`ServingHTTPServer`. See DESIGN.md ("Serving subsystem") for the
-architecture and guarantees.
+:class:`ServingHTTPServer`, whose :class:`AdmissionController` admits,
+degrades or sheds each request. See DESIGN.md ("Serving subsystem") for
+the architecture and guarantees.
 """
 
+from repro.serving.admission import AdmissionController
 from repro.serving.batcher import BatchingError, MicroBatcher, PendingPrediction
 from repro.serving.breaker import (
     STATE_CLOSED,
@@ -19,7 +21,6 @@ from repro.serving.cache import (
     CacheError,
     PredictionCache,
     cache_key,
-    shard_index,
 )
 from repro.serving.fallbacks import (
     FALLBACK_ORDER,
@@ -42,14 +43,6 @@ from repro.serving.registry import (
     save_checkpoint,
     validate_checkpoint_state,
 )
-from repro.serving.scale import (
-    AdmissionController,
-    ScaleConfig,
-    ScaleError,
-    ScaleServingServer,
-    SharedWeights,
-    WorkerPool,
-)
 from repro.serving.service import (
     PredictionResult,
     PredictionService,
@@ -57,6 +50,7 @@ from repro.serving.service import (
 )
 
 __all__ = [
+    "AdmissionController",
     "BatchingError",
     "MicroBatcher",
     "PendingPrediction",
@@ -67,7 +61,6 @@ __all__ = [
     "CacheError",
     "PredictionCache",
     "cache_key",
-    "shard_index",
     "FALLBACK_ORDER",
     "SOURCE_ANALYTIC",
     "SOURCE_FIXED_ANGLE",
@@ -86,12 +79,6 @@ __all__ = [
     "model_fingerprint",
     "save_checkpoint",
     "validate_checkpoint_state",
-    "AdmissionController",
-    "ScaleConfig",
-    "ScaleError",
-    "ScaleServingServer",
-    "SharedWeights",
-    "WorkerPool",
     "PredictionResult",
     "PredictionService",
     "ServingConfig",

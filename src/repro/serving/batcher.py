@@ -6,15 +6,13 @@ greedy: whenever the dispatcher thread is free it takes whatever is
 queued, up to ``max_batch_size`` graphs, and runs it at once. A lone
 request never waits for companions; requests that arrive during a
 forward form the next batch, so batches grow exactly as far as the load
-outruns the forward pass. Large drained batches can additionally be
-split across a :class:`~repro.runtime.ParallelExecutor` (thread backend
-— the workers share the model) to overlap forward passes.
+outruns the forward pass.
 
 Because model inference runs under batch-invariant kernels
 (:func:`repro.nn.tensor.batch_invariant`), the response for a request is
 bit-identical no matter which other requests happened to share its
-batch, how the batch was chunked across workers, or whether it ran
-unbatched — coalescing is purely a throughput decision.
+batch or whether it ran unbatched — coalescing is purely a throughput
+decision.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import ReproError
 from repro.graphs.graph import Graph
-from repro.runtime import ParallelExecutor
 
 
 class BatchingError(ReproError):
@@ -75,29 +72,17 @@ class MicroBatcher:
         ``model.predict``.
     max_batch_size:
         Most graphs dispatched in one forward pass.
-    executor:
-        Optional :class:`ParallelExecutor` (thread backend) used to split
-        a drained batch into concurrent chunk forwards.
-    chunk_size:
-        Graphs per executor chunk (default: even split across workers,
-        minimum 4 per chunk).
     """
 
     def __init__(
         self,
         forward_fn: Callable[[Sequence[Graph]], np.ndarray],
         max_batch_size: int = 32,
-        executor: Optional[ParallelExecutor] = None,
-        chunk_size: Optional[int] = None,
     ):
         if max_batch_size < 1:
             raise BatchingError("max_batch_size must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise BatchingError("chunk_size must be >= 1")
         self.forward_fn = forward_fn
         self.max_batch_size = int(max_batch_size)
-        self.executor = executor
-        self.chunk_size = chunk_size
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
         self._queue: List[PendingPrediction] = []
@@ -172,8 +157,7 @@ class MicroBatcher:
     def _run_batch(self, batch: List[PendingPrediction]) -> None:
         graphs = [pending.graph for pending in batch]
         try:
-            outputs = self._forward(graphs)
-            outputs = np.asarray(outputs)
+            outputs = np.asarray(self.forward_fn(graphs))
             if outputs.shape[0] != len(graphs):
                 raise BatchingError(
                     f"forward returned {outputs.shape[0]} rows for "
@@ -185,20 +169,6 @@ class MicroBatcher:
             return
         for pending, row in zip(batch, outputs):
             pending._resolve(row, len(batch))
-
-    def _forward(self, graphs: List[Graph]) -> np.ndarray:
-        if self.executor is None or len(graphs) <= 1:
-            return self.forward_fn(graphs)
-        size = self.chunk_size
-        if size is None:
-            size = max(4, -(-len(graphs) // self.executor.max_workers))
-        if size >= len(graphs):
-            return self.forward_fn(graphs)
-        chunks = [
-            graphs[i : i + size] for i in range(0, len(graphs), size)
-        ]
-        parts = self.executor.map(self.forward_fn, chunks)
-        return np.concatenate(parts, axis=0)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

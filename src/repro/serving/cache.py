@@ -26,32 +26,9 @@ class CacheError(ReproError):
     """Invalid prediction-cache configuration."""
 
 
-def cache_key(
-    graph: Graph, model_key: str = "", wl_hash: Optional[str] = None
-) -> str:
-    """The cache key for ``graph`` under the model named by ``model_key``.
-
-    ``wl_hash`` short-circuits the 1-WL computation when the caller
-    already holds the canonical hash (the scale front-end computes it
-    once for shard routing and forwards it to the worker).
-    """
-    if wl_hash is None:
-        wl_hash = wl_canonical_hash(graph)
-    return f"{model_key}:{wl_hash}"
-
-
-def shard_index(wl_hash: str, num_shards: int) -> int:
-    """Deterministic shard for a WL-canonical hash.
-
-    The leading 8 hex digits of the hash are uniform, so taking them
-    modulo ``num_shards`` partitions the WL-hash space: every hash maps
-    to exactly one shard, and isomorphic graphs (same hash) always land
-    on the same shard — which is what lets each worker own its cache
-    partition outright, with no cross-worker coherence traffic.
-    """
-    if num_shards < 1:
-        raise CacheError(f"num_shards must be >= 1, got {num_shards}")
-    return int(wl_hash[:8], 16) % num_shards
+def cache_key(graph: Graph, model_key: str = "") -> str:
+    """The cache key for ``graph`` under the model named by ``model_key``."""
+    return f"{model_key}:{wl_canonical_hash(graph)}"
 
 
 class _Entry:
@@ -159,74 +136,6 @@ class PredictionCache:
         """Drop all entries (counters are kept)."""
         with self._lock:
             self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # Snapshot / warm-up
-    # ------------------------------------------------------------------
-    def export_entries(self) -> list:
-        """JSON-safe ``[key, value, age_s]`` triples, LRU order first.
-
-        ``age_s`` is seconds since the entry was stored (by this cache's
-        clock), so an importer with a different clock epoch can
-        reconstruct TTL state. Prediction values — ``(gammas, betas,
-        source)`` tuples — round-trip losslessly through JSON because
-        the floats are serialized by ``repr``.
-        """
-        with self._lock:
-            now = self._clock()
-            return [
-                [key, self._as_jsonable(entry.value), now - entry.stored_at]
-                for key, entry in self._entries.items()
-            ]
-
-    def import_entries(self, entries) -> int:
-        """Warm up from :meth:`export_entries` output; returns how many
-        entries were loaded (expired ones are skipped, LRU still bounds
-        the total)."""
-        imported = set()
-        with self._lock:
-            now = self._clock()
-            for key, value, age_s in entries:
-                age_s = float(age_s)
-                if self.ttl_s is not None and age_s > self.ttl_s:
-                    continue
-                key = str(key)
-                self._entries[key] = _Entry(
-                    self._from_jsonable(value), now - age_s
-                )
-                self._entries.move_to_end(key)
-                imported.add(key)
-            while len(self._entries) > self.max_size:
-                evicted, _ = self._entries.popitem(last=False)
-                self.evictions_lru += 1
-                imported.discard(evicted)
-        return len(imported)
-
-    @staticmethod
-    def _as_jsonable(value):
-        if (
-            isinstance(value, tuple)
-            and len(value) == 3
-            and isinstance(value[2], str)
-        ):
-            gammas, betas, source = value
-            return [list(gammas), list(betas), source]
-        return value
-
-    @staticmethod
-    def _from_jsonable(value):
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 3
-            and isinstance(value[2], str)
-        ):
-            gammas, betas, source = value
-            return (
-                tuple(float(g) for g in gammas),
-                tuple(float(b) for b in betas),
-                source,
-            )
-        return value
 
     def _expired(self, entry: _Entry) -> bool:
         return (

@@ -3,8 +3,8 @@
 :class:`ServingMetrics` is the service's per-request sink. Latencies go
 into a bounded ring buffer (newest ``window`` samples) so percentile
 queries stay O(window) regardless of uptime; counters are cumulative.
-The snapshot format is JSON-safe and is what both the ``/metrics`` HTTP
-endpoint and the serving benchmark trajectory record.
+The snapshot format is JSON-safe and is what the ``/metrics`` HTTP
+endpoint serves.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ class ServingMetrics:
         breakers: Optional[dict] = None,
         replay_stats: Optional[dict] = None,
         admission: Optional[dict] = None,
-        workers: Optional[dict] = None,
     ) -> dict:
         """JSON-safe aggregate, optionally embedding collaborator stats."""
         with self._lock:
@@ -192,6 +191,4 @@ class ServingMetrics:
             result["breakers"] = breakers
         if admission is not None:
             result["admission"] = admission
-        if workers is not None:
-            result["workers"] = workers
         return result

@@ -11,7 +11,9 @@ subsystem. A request walks:
 3. **Fallback chain** — fixed-angle table, analytic closed form, seeded
    random — when there is no usable model or the model path fails.
 
-Every answer is tagged with its source, cached, and measured.
+Every answer is tagged with its source, cached, and measured. A request
+the admission gate degrades (``degraded=True``) skips step 2 on a miss
+and is neither cached nor replay-logged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from repro.gnn.predictor import QAOAParameterPredictor
 from repro.graphs.graph import Graph
 from repro.qaoa.fixed_angles import FixedAngleTable
-from repro.runtime import ParallelExecutor
 from repro.serving.batcher import BatchingError, MicroBatcher
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.cache import PredictionCache, cache_key
@@ -45,7 +46,6 @@ class ServingConfig:
     cache_size: int = 4096
     cache_ttl_s: Optional[float] = None
     max_batch_size: int = 32
-    workers: int = 1
     batching: bool = True
     #: Deadline for the model path of one request (micro-batch queueing
     #: included); past it the request degrades to the fallback chain and
@@ -71,10 +71,13 @@ class PredictionResult:
     cached: bool
     latency_s: float
     cache_key: str = field(repr=False, default="")
+    #: Answered off the fallback chain because the admission gate
+    #: degraded the request (see :mod:`repro.serving.admission`).
+    degraded: bool = False
 
     def to_dict(self) -> dict:
         """JSON-safe response payload."""
-        return {
+        payload = {
             "gammas": list(self.gammas),
             "betas": list(self.betas),
             "p": self.p,
@@ -82,6 +85,9 @@ class PredictionResult:
             "cached": self.cached,
             "latency_ms": self.latency_s * 1e3,
         }
+        if self.degraded:
+            payload["degraded"] = True
+        return payload
 
 
 class PredictionService:
@@ -113,11 +119,6 @@ class PredictionService:
         #: :class:`repro.flywheel.replay.ReplayLog`): every answered
         #: request is offered to ``replay_log.log_prediction``.
         self.replay_log = replay_log
-        self._executor = (
-            ParallelExecutor(backend="thread", max_workers=self.config.workers)
-            if self.config.workers > 1
-            else None
-        )
         #: name -> (model fingerprint, batcher). The fingerprint pins a
         #: batcher to the exact model it wraps, so a hot-swapped entry
         #: can never be served by a stale queue.
@@ -157,14 +158,17 @@ class PredictionService:
         self,
         graph: Graph,
         model_name: Optional[str] = None,
-        wl_hash: Optional[str] = None,
+        degraded: bool = False,
     ) -> PredictionResult:
         """Warm-start ``(gammas, betas)`` for ``graph``, from the best
         available source.
 
-        ``wl_hash`` is an optional precomputed 1-WL canonical hash; the
-        scale front-end computes it once for shard routing and passes
-        it down so the worker never re-hashes the graph.
+        ``degraded`` is set by the admission gate when the model path is
+        saturated: a cache hit is answered as usual, a miss straight
+        from the fallback chain. That answer is tagged ``degraded``, is
+        not cached (a later admitted request for the same class still
+        reaches the model), and is not replay-logged (it says nothing
+        about what the model cannot serve).
 
         Never raises for a structurally valid graph: every model-path
         failure — unknown model name, forward-pass exception, micro-batch
@@ -176,12 +180,12 @@ class PredictionService:
         """
         start = time.perf_counter()
         try:
-            result = self._predict_inner(graph, model_name, start, wl_hash)
+            result = self._predict_inner(graph, model_name, start, degraded)
         except Exception:
             self.metrics.record_error()
             raise
         self.metrics.record_request(result.latency_s, result.source, result.cached)
-        if self.replay_log is not None:
+        if self.replay_log is not None and not result.degraded:
             try:
                 outcome = self.replay_log.log_prediction(graph, result)
             except Exception as exc:  # noqa: BLE001 — log must not break serving
@@ -199,7 +203,7 @@ class PredictionService:
         graph: Graph,
         model_name: Optional[str],
         start: float,
-        wl_hash: Optional[str] = None,
+        degraded: bool,
     ) -> PredictionResult:
         entry = None
         try:
@@ -215,7 +219,6 @@ class PredictionService:
         key = cache_key(
             graph,
             entry.fingerprint if entry is not None else f"fallback-p{p}",
-            wl_hash=wl_hash,
         )
         hit = self.cache.get(key)
         if hit is not None:
@@ -223,6 +226,12 @@ class PredictionService:
             return PredictionResult(
                 gammas, betas, p, source, True,
                 time.perf_counter() - start, key,
+            )
+        if degraded:
+            fallback = self._fallback_chain(p).resolve(graph)
+            return PredictionResult(
+                fallback.gammas, fallback.betas, p, fallback.source, False,
+                time.perf_counter() - start, key, degraded=True,
             )
 
         gammas = betas = None
@@ -378,7 +387,6 @@ class PredictionService:
                 batcher = MicroBatcher(
                     entry.model.predict,
                     max_batch_size=self.config.max_batch_size,
-                    executor=self._executor,
                 )
                 self._batchers[entry.name] = (entry.fingerprint, batcher)
             else:
@@ -409,8 +417,12 @@ class PredictionService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> dict:
-        """Aggregate service metrics (the /metrics payload)."""
+    def metrics_snapshot(self, admission: Optional[dict] = None) -> dict:
+        """Aggregate service metrics (the /metrics payload).
+
+        ``admission`` is the HTTP gate's counter snapshot, embedded as
+        the ``admission`` section.
+        """
         with self._batcher_lock:
             batcher_stats = {
                 name: batcher.stats()
@@ -431,6 +443,7 @@ class PredictionService:
                 if self.replay_log is not None
                 else None
             ),
+            admission=admission,
         )
 
     def describe(self) -> dict:
@@ -442,7 +455,6 @@ class PredictionService:
                 "cache_size": self.config.cache_size,
                 "cache_ttl_s": self.config.cache_ttl_s,
                 "max_batch_size": self.config.max_batch_size,
-                "workers": self.config.workers,
                 "batching": self.config.batching,
                 "default_p": self.config.default_p,
                 "request_timeout_s": self.config.request_timeout_s,

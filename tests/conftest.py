@@ -6,7 +6,10 @@ import http.client
 import json
 import socket
 import statistics
+import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,3 +94,65 @@ def keepalive_predict_median_ms():
         return statistics.median(latencies)
 
     return measure
+
+
+@pytest.fixture
+def closed_loop_load():
+    """Closed-loop ``/predict`` load as ``run(port, bodies, clients,
+    duration_s)``.
+
+    Each of ``clients`` threads keeps one keep-alive connection and
+    posts ``bodies`` round-robin until ``duration_s`` elapses, opening a
+    new connection after any that drops. Returns the status counts, how
+    many 503s lacked ``Retry-After``, the connection errors, and the
+    slowest request in milliseconds.
+    """
+
+    def run(port: int, bodies, clients: int, duration_s: float) -> dict:
+        statuses: Counter = Counter()
+        lock = threading.Lock()
+        report = {"missing_retry_after": 0, "connection_errors": 0,
+                  "max_ms": 0.0}
+        stop_at = time.monotonic() + duration_s
+
+        def client(offset: int) -> None:
+            connection = None
+            i = offset
+            while time.monotonic() < stop_at:
+                if connection is None:
+                    connection = http.client.HTTPConnection(
+                        "127.0.0.1", port, timeout=30
+                    )
+                body = bodies[i % len(bodies)]
+                i += 1
+                start = time.perf_counter()
+                try:
+                    connection.request(
+                        "POST", "/predict", body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    response.read()
+                except (OSError, http.client.HTTPException):
+                    connection.close()
+                    connection = None
+                    with lock:
+                        report["connection_errors"] += 1
+                    continue
+                elapsed_ms = (time.perf_counter() - start) * 1e3
+                with lock:
+                    statuses[response.status] += 1
+                    report["max_ms"] = max(report["max_ms"], elapsed_ms)
+                    if (response.status == 503
+                            and response.getheader("Retry-After") is None):
+                        report["missing_retry_after"] += 1
+            if connection is not None:
+                connection.close()
+
+        with ThreadPoolExecutor(max_workers=clients) as pool:
+            for future in [pool.submit(client, k) for k in range(clients)]:
+                future.result()
+        report["statuses"] = dict(statuses)
+        return report
+
+    return run

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,23 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["serve"]).command == "serve"
         assert parser.parse_args(["predict"]).command == "predict"
+
+    def test_serve_max_inflight_reaches_the_server(self, monkeypatch):
+        from repro.serving.http import ServingHTTPServer
+
+        seen = {}
+
+        def serve_briefly(server):
+            seen["gate"] = server.admission.max_inflight
+            server.start_background()
+            url = f"http://127.0.0.1:{server.port}/healthz"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                seen["healthz"] = json.load(response)["config"]["max_inflight"]
+            server.close()
+
+        monkeypatch.setattr(ServingHTTPServer, "serve_forever", serve_briefly)
+        assert main(["serve", "--port", "0", "--max-inflight", "3"]) == 0
+        assert seen == {"gate": 3, "healthz": 3}
 
 
 class TestEndToEnd:
@@ -231,6 +249,12 @@ class TestTrainingFlags:
             ["train", "--dataset", "ds.json", "--out", "m.json",
              "--fast-kernels"],
             ["serve", "--max-wait-ms", "2"],
+            ["serve", "--workers", "2"],
+            ["serve", "--inference-threads", "4"],
+            ["serve", "--shed-deadline-ms", "1000"],
+            ["serve", "--shed-factor", "2"],
+            ["serve", "--l1-cache-size", "2048"],
+            ["serve", "--cache-snapshot", "cache.json"],
         ],
     )
     def test_removed_command_and_flags_are_rejected(self, argv):

@@ -130,6 +130,73 @@ class TestConcurrentLookup:
         assert entries[0].p == 2
 
 
+class TestLookupOrder:
+    """An entry depends on (table seed, degree, p), not on history."""
+
+    @staticmethod
+    def tiny(rng=5):
+        return FixedAngleTable(
+            ensemble_size=2, ensemble_nodes=8, optimizer_iters=20,
+            restarts=2, rng=rng,
+        )
+
+    def test_entry_is_the_same_first_or_after_another(self):
+        first = self.tiny().lookup(3, p=2)
+        table = self.tiny()
+        table.lookup(4, p=2)
+        table.lookup(5, p=3)
+        assert table.lookup(3, p=2) == first
+
+    def test_entries_follow_the_table_seed(self):
+        assert self.tiny(rng=5).lookup(3, p=2) != self.tiny(rng=6).lookup(3, p=2)
+        seeded = FixedAngleTable(rng=np.random.default_rng(9))
+        assert 0 <= seeded.seed < 2**63
+
+    def test_p1_entries_are_unchanged(self):
+        table = self.tiny()
+        table.lookup(4, p=2)
+        for degree in range(MIN_COVERED_DEGREE, MAX_COVERED_DEGREE + 1):
+            gamma, beta = p1_optimal_angles_regular(degree)
+            entry = table.lookup(degree, p=1)
+            assert (entry.gammas, entry.betas) == ((gamma,), (beta,))
+
+    def test_default_table_is_built_once_under_concurrency(self, monkeypatch):
+        import repro.qaoa.fixed_angles as fixed_angles
+
+        monkeypatch.setattr(fixed_angles, "_DEFAULT_TABLE", None)
+        built = []
+
+        class CountingTable(FixedAngleTable):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                time.sleep(0.05)  # widen the window a second build would use
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_angles, "FixedAngleTable", CountingTable)
+        start = threading.Barrier(8)
+        tables = [None] * 8
+
+        def worker(i):
+            start.wait(timeout=10.0)
+            tables[i] = fixed_angles.default_table()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [1]
+        assert all(table is tables[0] for table in tables)
+
+
 class TestTransferAngles:
     def test_p2_beats_p1_on_ensemble(self, table):
         p1 = table.lookup(3, p=1)

@@ -431,7 +431,11 @@ class TestPredictionService:
         assert snapshot["sources"] == {SOURCE_MODEL: 2}
         assert snapshot["fallback_requests"] == 0
         assert snapshot["cache"]["hit_rate"] == 0.5
-        assert "p50_ms" in snapshot["latency"]
+        latency = snapshot["latency"]
+        assert (
+            latency["p50_ms"] <= latency["p90_ms"] <= latency["p99_ms"]
+            <= latency["max_ms"]
+        )
         assert snapshot["models"][0]["arch"] == "gin"
 
     def test_retrained_model_invalidates_cache(self, triangle):

@@ -1,9 +1,12 @@
 """End-to-end tests for the HTTP serving front-end."""
 
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
@@ -11,11 +14,13 @@ from repro.gnn.predictor import QAOAParameterPredictor
 from repro.graphs.graph import Graph
 from repro.graphs.io import graph_to_text
 from repro.serving import (
+    AdmissionController,
     PredictionService,
     ServingConfig,
     ServingHTTPServer,
     graph_from_payload,
 )
+import repro.serving.http as serving_http
 from repro.serving.http import MAX_REQUEST_BYTES, parse_content_length
 
 
@@ -83,6 +88,22 @@ class TestGraphFromPayload:
     def test_non_object_raises_repro_error(self):
         with pytest.raises(ReproError, match="JSON object"):
             graph_from_payload([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"num_nodes": float("inf"), "edges": []},
+            {"num_nodes": float("-inf"), "edges": []},
+            {"num_nodes": float("nan"), "edges": []},
+            {"num_nodes": 3, "edges": [[0, float("inf")]]},
+            {"num_nodes": 2, "edges": [[0, 1]], "weights": [float("nan")]},
+            {"num_nodes": 2, "edges": [[0, 1]], "weights": [float("inf")]},
+            {"graph": "nodes 2\nedge 0 1 nan\n"},
+        ],
+    )
+    def test_non_finite_numbers_raise_repro_error(self, payload):
+        with pytest.raises(ReproError):
+            graph_from_payload(payload)
 
 
 class TestContentLength:
@@ -186,6 +207,173 @@ class TestHTTPEndpoints:
         assert server.port > 0
 
 
+def raw_status(port, data, timeout=10.0, hold_open=False):
+    """Write raw bytes on a fresh connection; the first response's
+    status code and the seconds it took (``None`` if no response)."""
+    start = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        if not hold_open:
+            sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while b"\r\n" not in response:
+            try:
+                chunk = sock.recv(4096)
+            except socket.timeout:
+                break
+            if not chunk:
+                break
+            response += chunk
+    elapsed = time.monotonic() - start
+    if not response.startswith(b"HTTP/"):
+        return None, elapsed
+    return int(response.split(b" ", 2)[1]), elapsed
+
+
+def predict_request(body, length=None):
+    """A complete ``POST /predict`` with ``body`` (and an optionally
+    lying ``Content-Length``)."""
+    if length is None:
+        length = len(body)
+    return (
+        b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Type: application/json\r\n"
+        + f"Content-Length: {length}\r\n\r\n".encode()
+        + body
+    )
+
+
+def hostile_bodies():
+    """Malformed ``/predict`` bodies, each of which must get a 4xx."""
+    rng = np.random.default_rng(2024)
+    valid = json.dumps(
+        {"num_nodes": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
+    ).encode()
+    bodies = {
+        "empty": b"",
+        "deep_nesting": b"[" * 100_000,
+        "deep_edges": b'{"num_nodes": 3, "edges": '
+        + b"[" * 500 + b"]" * 500 + b"}",
+        "non_utf8": b'{"num_nodes": 3, "edges": [], "name": "\xff\xfe"}',
+        "num_nodes_infinity": b'{"num_nodes": Infinity, "edges": []}',
+        "num_nodes_1e400": b'{"num_nodes": 1e400, "edges": []}',
+        "num_nodes_nan": b'{"num_nodes": NaN, "edges": []}',
+        "edge_infinity": b'{"num_nodes": 3, "edges": [[0, -Infinity]]}',
+        "weight_nan": b'{"num_nodes": 2, "edges": [[0, 1]], "weights": [NaN]}',
+        "weight_1e400": b'{"num_nodes": 2, "edges": [[0, 1]], '
+        b'"weights": [1e400]}',
+        "text_weight_nan": json.dumps({"graph": "nodes 2\nedge 0 1 nan"}).encode(),
+        "oversized_nodes": b'{"num_nodes": 1000000000, "edges": []}',
+        "oversized_edges": json.dumps(
+            {"num_nodes": 1000, "edges": [[0, 1]] * 40_000}
+        ).encode(),
+        "not_an_object": b"[1, 2, 3]",
+        "edges_not_pairs": b'{"num_nodes": 3, "edges": [[0, 1, 2]]}',
+        "edge_out_of_range": b'{"num_nodes": 3, "edges": [[0, 7]]}',
+        "negative_nodes": b'{"num_nodes": -4, "edges": []}',
+    }
+    for cut in sorted(rng.choice(len(valid) - 1, size=8, replace=False)):
+        bodies[f"truncated_{cut}"] = valid[: int(cut)]
+    for i in range(12):
+        size = int(rng.integers(1, 400))
+        bodies[f"random_{i}"] = rng.integers(0, 256, size, np.uint8).tobytes()
+    return bodies
+
+
+class TestHostileInput:
+    """Malformed requests get a 4xx quickly; the server keeps serving."""
+
+    @pytest.fixture(autouse=True)
+    def short_body_deadline(self, monkeypatch):
+        monkeypatch.setattr(serving_http, "BODY_READ_TIMEOUT_S", 0.5)
+
+    def assert_still_serving(self, server):
+        status, body = post(
+            server, "/predict", {"num_nodes": 4, "edges": [[0, 1], [1, 2]]}
+        )
+        assert status == 200, body
+
+    @pytest.mark.parametrize(
+        "body",
+        [pytest.param(body, id=name)
+         for name, body in sorted(hostile_bodies().items())],
+    )
+    def test_malformed_body_is_4xx(self, server, body):
+        status, elapsed = raw_status(server.port, predict_request(body))
+        assert status is not None and 400 <= status < 500, status
+        assert elapsed < 5.0
+        self.assert_still_serving(server)
+
+    def test_oversized_content_length_is_400(self, server):
+        request = predict_request(b"{}", length=MAX_REQUEST_BYTES + 1)
+        status, _ = raw_status(server.port, request)
+        assert status == 400
+        self.assert_still_serving(server)
+
+    def test_garbage_request_line_is_400(self, server):
+        status, _ = raw_status(server.port, b"\x00\xff\x13garbage\r\n\r\n")
+        assert status == 400
+        self.assert_still_serving(server)
+
+    def test_body_shorter_than_content_length_is_408(self, server):
+        # The client announces 100 bytes, sends 10 and keeps the socket
+        # open: the read gives up at the deadline and closes.
+        status, elapsed = raw_status(
+            server.port,
+            predict_request(b'{"num_node', length=100),
+            hold_open=True,
+        )
+        assert status == 408
+        assert elapsed < 5.0
+        self.assert_still_serving(server)
+
+    def test_body_closed_early_is_400(self, server):
+        status, _ = raw_status(
+            server.port, predict_request(b'{"num_node', length=100)
+        )
+        assert status == 400
+        self.assert_still_serving(server)
+
+    def test_slow_drip_body_hits_the_deadline(self, server):
+        # Bytes keep arriving, but the whole body is overdue.
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(predict_request(b"", length=100))
+            response = b""
+            sock.settimeout(0.1)
+            while time.monotonic() - start < 5.0 and b"\r\n" not in response:
+                try:
+                    sock.sendall(b" ")
+                    response += sock.recv(4096)
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+        assert response.startswith(b"HTTP/1.1 408"), response
+        assert time.monotonic() - start < 5.0
+        self.assert_still_serving(server)
+
+    def test_keepalive_idle_wait_has_no_deadline(self, server):
+        import http.client
+
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            for _ in range(2):
+                connection.request(
+                    "POST", "/predict",
+                    body=json.dumps({"num_nodes": 3, "edges": [[0, 1]]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                time.sleep(1.0)  # idle for twice the body deadline
+        finally:
+            connection.close()
+
+
 class TestCLIServePieces:
     def test_parse_edge_spec(self):
         from repro.cli import _parse_edge_spec
@@ -220,7 +408,7 @@ class TestClientDisconnects:
     def _bare_handler(self, service, wfile):
         from repro.serving.http import _make_handler
 
-        handler_cls = _make_handler(service)
+        handler_cls = _make_handler(service, AdmissionController())
         handler = object.__new__(handler_cls)
         handler.wfile = wfile
         handler.rfile = None
