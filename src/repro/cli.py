@@ -14,10 +14,9 @@ Seven subcommands cover the offline pipeline and the online service
   wall-time report; ``--no-batch-cache`` rebuilds every mini-batch from
   raw graphs, bit-identical to the cached default).
 - ``repro evaluate`` — warm-start evaluation of a saved model against
-  random initialization on a saved dataset's held-out split
-  (``--batched`` runs the size-bucketed lock-step engine — identical
-  numbers, much faster on many-graph sweeps; ``--profile`` prints the
-  per-phase wall-time report).
+  random initialization on a saved dataset's held-out split, both arms
+  of every same-size graph in one simulator stack (``--profile`` prints
+  the per-phase wall-time report).
 - ``repro reproduce`` — the whole experiment (Table 1) in one shot.
 - ``repro serve`` — HTTP prediction service from a checkpoint
   (isomorphism-aware cache, micro-batching, fallback chain).
@@ -288,14 +287,6 @@ def _add_evaluate(subparsers) -> None:
     parser.add_argument("--eval-iters", type=int, default=15)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--batched", action="store_true",
-        help="size-bucketed lock-step engine (identical numbers, faster)",
-    )
-    parser.add_argument(
-        "--max-bucket", type=int, default=64,
-        help="batched engine: max instance rows per statevector stack",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="print the per-phase wall-time report after evaluating",
     )
@@ -333,8 +324,6 @@ def _cmd_evaluate(args) -> int:
         p=model.p,
         optimizer_iters=args.eval_iters,
         rng=args.seed,
-        batched=args.batched,
-        max_bucket=args.max_bucket,
         profiler=profiler,
     )
     result = evaluator.evaluate_model(test.graphs(), model)

@@ -1,10 +1,9 @@
 """Background relabeling: turn served warm starts into real labels.
 
-Each selected candidate is re-optimized with the batched statevector
-engine (:mod:`repro.qaoa.batched`), *warm-started from the parameters
-the service actually served* — the optimizer can only improve on what
-the user got, and the improvement is exactly the signal the next model
-version trains on.
+Each selected candidate is re-optimized on the statevector simulator,
+*warm-started from the parameters the service actually served* — the
+optimizer can only improve on what the user got, and the improvement is
+exactly the signal the next model version trains on.
 
 Execution rides the fault-tolerant runtime end to end:
 
@@ -14,9 +13,10 @@ Execution rides the fault-tolerant runtime end to end:
   resumes from its checkpoint directory and produces byte-identical
   records (relabeling is deterministic — the warm start is data, not
   randomness — so a re-run of any shard rewrites the same bytes).
-- Within a shard, candidates are bucketed by node count and each bucket
-  runs as one executor task — one ``(K, 2^n)`` statevector stack through
-  the lock-step Adam optimizer — under the executor's
+- Within a shard, candidates are bucketed by node count (at most
+  :data:`~repro.qaoa.simulator.MAX_STACK_ROWS` per bucket) and each
+  bucket runs as one executor task — one ``(K, 2^n)`` statevector stack
+  through the Adam optimizer — under the executor's
   :class:`~repro.runtime.RetryPolicy` and (in tests/CI) its
   deterministic :class:`~repro.runtime.FaultInjector`.
 
@@ -45,8 +45,8 @@ from repro.exceptions import ExecutionError, FlywheelError
 from repro.flywheel.selector import MAX_LABELABLE_NODES, Candidate
 from repro.maxcut.cache import ProblemCache
 from repro.maxcut.problem import MaxCutProblem
-from repro.qaoa.batched import BatchedAdamOptimizer, BatchedQAOASimulator
-from repro.qaoa.simulator import QAOASimulator
+from repro.qaoa.optimizers import AdamOptimizer
+from repro.qaoa.simulator import MAX_STACK_ROWS, QAOASimulator
 from repro.runtime import FaultInjector, ParallelExecutor, RetryPolicy
 from repro.utils.logging import get_logger
 
@@ -75,8 +75,6 @@ class RelabelConfig:
     label_method: str = "statevector"
     #: Candidates per durable checkpoint shard.
     checkpoint_every: int = 16
-    #: Max instance rows per batched statevector stack.
-    max_bucket: int = 64
     backend: str = "serial"
     workers: Optional[int] = None
     retries: int = 0
@@ -91,8 +89,6 @@ class RelabelConfig:
             raise FlywheelError("optimizer_iters must be >= 1")
         if self.checkpoint_every < 1:
             raise FlywheelError("checkpoint_every must be >= 1")
-        if self.max_bucket < 1:
-            raise FlywheelError("max_bucket must be >= 1")
         if self.label_method not in LABEL_METHODS:
             raise FlywheelError(
                 f"unknown label method {self.label_method!r}; "
@@ -152,7 +148,6 @@ class RelabelConfig:
             "seed": self.seed,
             "label_method": self.label_method,
             "checkpoint_every": self.checkpoint_every,
-            "max_bucket": self.max_bucket,
         }
 
 
@@ -165,8 +160,8 @@ def _relabel_bucket(payload) -> List[QAOARecord]:
 
     Module-level (tuple payload) so the process backend can pickle it.
     Every candidate contributes one instance row warm-started from its
-    served parameters; the batched Adam optimizer tracks the per-row
-    best iterate, so the returned label is never worse than what the
+    served parameters; the Adam optimizer tracks the per-row best
+    iterate, so the returned label is never worse than what the
     service served. Angles are folded onto the canonical manifold
     exactly as offline generation does, so flywheel labels and seed
     labels live on the same target surface.
@@ -199,8 +194,8 @@ def _relabel_bucket(payload) -> List[QAOARecord]:
         problems.append(problem)
         gamma_rows.append(np.asarray(gammas, dtype=np.float64))
         beta_rows.append(np.asarray(betas, dtype=np.float64))
-    simulator = BatchedQAOASimulator(problems)
-    optimizer = BatchedAdamOptimizer(learning_rate=learning_rate)
+    simulator = QAOASimulator(problems)
+    optimizer = AdamOptimizer(learning_rate=learning_rate)
     result = optimizer.run(
         simulator,
         np.stack(gamma_rows),
@@ -211,7 +206,7 @@ def _relabel_bucket(payload) -> List[QAOARecord]:
     records = []
     for row, (graph, _, _) in enumerate(entries):
         problem = problems[row]
-        expectation = float(result.expectations[row])
+        expectation = float(result.expectation[row])
         gammas, betas = canonicalize_angles(
             result.gammas[row], result.betas[row], graph.is_weighted
         )
@@ -261,9 +256,9 @@ def _shard_buckets(
         buckets = []
         for size in sorted(by_size):
             members = by_size[size]
-            for chunk_start in range(0, len(members), config.max_bucket):
+            for chunk_start in range(0, len(members), MAX_STACK_ROWS):
                 buckets.append(
-                    members[chunk_start:chunk_start + config.max_bucket]
+                    members[chunk_start:chunk_start + MAX_STACK_ROWS]
                 )
         plan.append((shard_id, buckets))
     return plan

@@ -1,12 +1,12 @@
 """The promotion gate: a candidate earns its way into serving.
 
 Both models run the *same* held-out evaluation — identically seeded
-:class:`~repro.pipeline.evaluation.WarmStartEvaluator` sweeps (batched
-engine), so the random-arm draws and optimizer budgets match arm for
-arm. The score is the mean approximation ratio the warm-started
-optimizer reaches from each model's predicted parameters
-(``mean_strategy_ar``), i.e. exactly the quantity serving exists to
-maximize.
+:class:`~repro.pipeline.evaluation.WarmStartEvaluator` sweeps, the same
+engine ``repro evaluate`` runs — so the random-arm draws and optimizer
+budgets match arm for arm. The score is the mean approximation ratio
+the warm-started optimizer reaches from each model's predicted
+parameters (``mean_strategy_ar``), i.e. exactly the quantity serving
+exists to maximize.
 
 Decision rule: promote iff
 
@@ -52,8 +52,6 @@ class PromotionConfig:
     #: most this much mean AR and still promote.
     margin: float = 0.0
     seed: int = 0
-    batched: bool = True
-    max_bucket: int = 64
 
     def __post_init__(self):
         if self.eval_iters < 1:
@@ -105,8 +103,6 @@ def _score(
         optimizer_iters=config.eval_iters,
         learning_rate=config.learning_rate,
         rng=config.seed,
-        batched=config.batched,
-        max_bucket=config.max_bucket,
         problem_cache=problem_cache,
     )
     result = evaluator.evaluate_model(graphs, model)

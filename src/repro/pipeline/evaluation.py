@@ -8,18 +8,13 @@ per-graph *improvement* in percentage points,
 ``100 * (AR_gnn - AR_random)``, whose mean and standard deviation across
 the test set form Table 1; the per-graph traces form Figure 5.
 
-Two execution engines run the same experiment:
-
-* the **serial** engine runs one paired comparison per task (optionally
-  fanned out through :class:`~repro.runtime.ParallelExecutor`);
-* the **batched** engine buckets test graphs by node count, stacks both
-  arms of every graph in a bucket into one ``(K, 2^n)`` statevector
-  block, and drives all K instances through the full ansatz, adjoint
-  gradient, and a lock-step optimizer per sweep
-  (:mod:`repro.qaoa.batched`). Per-arm seeds are derived identically,
-  and the batched kernels compute the same per-instance quantities on
-  a cheaper op schedule, so per-graph results agree with the serial
-  engine to a few ulp (tests pin the divergence below ``1e-10``).
+The evaluator buckets test graphs by node count, stacks both arms of
+every graph in a bucket into one ``(K, 2^n)`` statevector block of the
+:class:`~repro.qaoa.simulator.QAOASimulator`, and drives all K rows
+through the full ansatz, adjoint gradient and one Adam step per sweep.
+Rows never mix, so each arm's result is bit-identical to running that
+arm alone through :meth:`~repro.qaoa.runner.QAOARunner.run` with the
+same seed, whatever the bucket split.
 """
 
 from __future__ import annotations
@@ -35,12 +30,12 @@ from repro.graphs.graph import Graph
 from repro.maxcut.cache import ProblemCache
 from repro.maxcut.problem import MaxCutProblem
 from repro.profiling import NULL_PROFILER
-from repro.qaoa.batched import BatchedAdamOptimizer, BatchedQAOASimulator
 from repro.qaoa.initialization import (
     InitializationStrategy,
     RandomInitialization,
 )
-from repro.qaoa.runner import QAOARunner
+from repro.qaoa.optimizers import AdamOptimizer
+from repro.qaoa.simulator import MAX_STACK_ROWS, QAOASimulator
 from repro.runtime import ParallelExecutor, derive_task_seeds, task_rng
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, ensure_rng
@@ -167,52 +162,20 @@ def _graph_degree(graph: Graph) -> int:
     return degree
 
 
-def _comparison_task(payload) -> WarmStartComparison:
-    """Run the paired random-vs-strategy comparison on one graph.
-
-    Module-level (tuple payload) so the process backend can pickle it.
-    The two per-arm seeds are pre-derived in graph order, so any backend
-    reproduces the serial comparison bit for bit. Both arms share one
-    simulator, so the cost diagonal, brute-force optimum, and simulator
-    workspaces are built once per graph instead of once per arm.
-    """
-    runner, graph, random_strategy, strategy, seed_random, seed_strategy = (
-        payload
-    )
-    simulator = runner.simulator_for(graph)
-    random_outcome = runner.run(
-        graph, random_strategy, task_rng(seed_random), simulator=simulator
-    )
-    strategy_outcome = runner.run(
-        graph, strategy, task_rng(seed_strategy), simulator=simulator
-    )
-    return WarmStartComparison(
-        graph_name=graph.name,
-        num_nodes=graph.num_nodes,
-        degree=_graph_degree(graph),
-        random_ratio=random_outcome.approximation_ratio,
-        strategy_ratio=strategy_outcome.approximation_ratio,
-        random_initial_ratio=random_outcome.initial_approximation_ratio,
-        strategy_initial_ratio=strategy_outcome.initial_approximation_ratio,
-    )
-
-
 #: One graph's slot in a bucket: (graph, random-arm seed, strategy-arm seed).
 _BucketEntry = Tuple[Graph, int, int]
 
 
 def _bucket_task(payload) -> List[WarmStartComparison]:
-    """Run one size bucket through the batched engine.
+    """Run one size bucket as one simulator stack.
 
+    Module-level (tuple payload) so the process backend can pickle it.
     Each graph contributes two adjacent instance rows — ``2j`` for the
     random arm and ``2j + 1`` for the strategy arm — to a single
-    ``(K, 2^n)`` statevector stack, and all ``K`` instances march
-    through the lock-step optimizer together. Initial parameters are
-    drawn from ``task_rng(seed)`` exactly as the serial
-    :meth:`QAOARunner.run` would, and the batched kernels compute the
-    same per-instance quantities as the serial simulator (on a cheaper
-    op schedule), so the returned comparisons agree with the serial
-    engine's to a few ulp.
+    ``(K, 2^n)`` statevector stack, and all ``K`` rows march through
+    the optimizer together. Initial parameters are drawn from
+    ``task_rng(seed)`` exactly as :meth:`QAOARunner.run` draws them, so
+    every row reproduces that arm's standalone run bit for bit.
     """
     (
         entries,
@@ -221,7 +184,6 @@ def _bucket_task(payload) -> List[WarmStartComparison]:
         p,
         optimizer,
         max_iters,
-        tol,
         cache,
     ) = payload
     problems: List[MaxCutProblem] = []
@@ -239,13 +201,11 @@ def _bucket_task(payload) -> List[WarmStartComparison]:
             problems.append(problem)
             gamma_rows.append(np.asarray(gammas0, dtype=np.float64))
             beta_rows.append(np.asarray(betas0, dtype=np.float64))
-    simulator = BatchedQAOASimulator(problems)
+    simulator = QAOASimulator(problems)
     gammas = np.stack(gamma_rows)
     betas = np.stack(beta_rows)
-    initial = simulator.expectations(gammas, betas)
-    result = optimizer.run(
-        simulator, gammas, betas, max_iters=max_iters, tol=tol
-    )
+    initial = simulator.expectation(gammas, betas)
+    result = optimizer.run(simulator, gammas, betas, max_iters=max_iters)
     comparisons = []
     for j, (graph, _, _) in enumerate(entries):
         problem = problems[2 * j]
@@ -255,10 +215,10 @@ def _bucket_task(payload) -> List[WarmStartComparison]:
                 num_nodes=graph.num_nodes,
                 degree=_graph_degree(graph),
                 random_ratio=problem.approximation_ratio(
-                    float(result.expectations[2 * j])
+                    float(result.expectation[2 * j])
                 ),
                 strategy_ratio=problem.approximation_ratio(
-                    float(result.expectations[2 * j + 1])
+                    float(result.expectation[2 * j + 1])
                 ),
                 random_initial_ratio=problem.approximation_ratio(
                     float(initial[2 * j])
@@ -272,19 +232,19 @@ def _bucket_task(payload) -> List[WarmStartComparison]:
 
 
 def _size_buckets(
-    graphs: Sequence[Graph], max_bucket: int
+    graphs: Sequence[Graph], max_rows: int
 ) -> List[List[int]]:
-    """Graph indices grouped by node count, chunked to the bucket cap.
+    """Graph indices grouped by node count, chunked to the stack cap.
 
-    ``max_bucket`` caps the *instance rows* per batch; each graph
+    ``max_rows`` caps the *instance rows* per stack; each graph
     contributes two rows (one per arm), so chunks hold at most
-    ``max(1, max_bucket // 2)`` graphs. Order within a bucket follows
-    the input order, so seeds line up with the serial engine.
+    ``max(1, max_rows // 2)`` graphs. Order within a bucket follows the
+    input order.
     """
     by_size: Dict[int, List[int]] = {}
     for index, graph in enumerate(graphs):
         by_size.setdefault(graph.num_nodes, []).append(index)
-    chunk = max(1, max_bucket // 2)
+    chunk = max(1, max_rows // 2)
     buckets = []
     for size in sorted(by_size):
         indices = by_size[size]
@@ -300,23 +260,15 @@ class WarmStartEvaluator:
     initial angles are drawn independently per graph from the shared RNG
     stream, so comparisons are paired but unbiased.
 
-    ``executor`` fans the per-graph comparisons (serial engine) or
-    per-bucket blocks (batched engine) out through the parallel runtime
+    Test graphs are bucketed by node count into stacks of at most
+    :data:`~repro.qaoa.simulator.MAX_STACK_ROWS` rows (two per graph),
+    and ``executor`` fans the buckets out through the parallel runtime
     (default: serial). Per-arm seeds are derived from the evaluator RNG
     in graph order before dispatch, so results are bit-identical across
-    backends, match the historical serial loop, and agree between the
-    serial and batched engines to a few ulp.
+    backends and bucket splits.
 
     Parameters
     ----------
-    batched:
-        Use the batched engine: bucket test graphs by node count and
-        simulate every instance in a bucket in lock step
-        (:mod:`repro.qaoa.batched`). Agrees with the serial engine
-        within ``1e-10`` per graph; much faster on many-graph sweeps.
-    max_bucket:
-        Batched engine only — maximum instance rows per ``(K, 2^n)``
-        stack. Each graph contributes two rows.
     problem_cache:
         Shared :class:`~repro.maxcut.cache.ProblemCache`; defaults to a
         fresh cache, so both arms of every comparison (and structurally
@@ -328,7 +280,7 @@ class WarmStartEvaluator:
         ``prepare`` / ``optimize`` / ``aggregate`` phases per sweep.
     retries, task_timeout_s:
         Fault tolerance for the default executor (ignored when an
-        ``executor`` is passed): extra attempts per comparison task and
+        ``executor`` is passed): extra attempts per bucket task and
         a wall-clock budget per attempt. Retried tasks reuse their
         pre-derived seeds, so results stay bit-identical.
     """
@@ -340,36 +292,17 @@ class WarmStartEvaluator:
         learning_rate: float = 0.05,
         rng: RngLike = None,
         executor: Optional[ParallelExecutor] = None,
-        batched: bool = False,
-        max_bucket: int = 64,
         problem_cache: Optional[ProblemCache] = None,
         profiler=NULL_PROFILER,
         retries: int = 0,
         task_timeout_s: Optional[float] = None,
     ):
-        from repro.qaoa.optimizers import AdamOptimizer
-
-        if max_bucket < 2:
-            raise ValueError(
-                f"max_bucket must be >= 2 (one graph = two rows), "
-                f"got {max_bucket}"
-            )
         self.p = p
         self.optimizer_iters = int(optimizer_iters)
         self.problem_cache = (
             problem_cache if problem_cache is not None else ProblemCache()
         )
-        self.runner = QAOARunner(
-            p=p,
-            optimizer=AdamOptimizer(learning_rate=learning_rate),
-            max_iters=optimizer_iters,
-            problem_cache=self.problem_cache,
-        )
-        self.batched = bool(batched)
-        self.max_bucket = int(max_bucket)
-        self._batched_optimizer = BatchedAdamOptimizer(
-            learning_rate=learning_rate
-        )
+        self.optimizer = AdamOptimizer(learning_rate=learning_rate)
         self._rng = ensure_rng(rng)
         # Per-graph seeds are derived before dispatch, so retried
         # evaluation tasks rerun with their original streams and the
@@ -395,66 +328,28 @@ class WarmStartEvaluator:
         name = strategy_name if strategy_name else strategy.name
         result = EvaluationResult(strategy_name=name)
         random_strategy = RandomInitialization()
-        # Two seeds per graph, drawn in the same order the serial loop
-        # used to call spawn_rng: (random arm, strategy arm) per graph.
-        # Both engines consume the evaluator RNG identically, so
-        # switching engines cannot change which experiment runs.
+        # Two seeds per graph, in graph order: (random arm, strategy
+        # arm). They are fixed before bucketing, so the bucket split
+        # cannot change which experiment runs.
         with self.profiler.phase("prepare"):
             seeds = derive_task_seeds(self._rng, 2 * len(graphs))
-        if self.batched:
-            comparisons = self._evaluate_batched(
-                graphs, random_strategy, strategy, seeds
-            )
-        else:
-            comparisons = self._evaluate_serial(
-                graphs, random_strategy, strategy, seeds
-            )
+        comparisons = self._evaluate_buckets(
+            graphs, random_strategy, strategy, seeds
+        )
         with self.profiler.phase("aggregate"):
             result.comparisons.extend(comparisons)
         return result
 
-    def _evaluate_serial(
+    def _evaluate_buckets(
         self,
         graphs: Sequence[Graph],
         random_strategy: InitializationStrategy,
         strategy: InitializationStrategy,
         seeds: Sequence[int],
     ) -> List[WarmStartComparison]:
-        """One task per graph; both arms inside the task."""
-        payloads = [
-            (
-                self.runner,
-                graph,
-                random_strategy,
-                strategy,
-                seeds[2 * i],
-                seeds[2 * i + 1],
-            )
-            for i, graph in enumerate(graphs)
-        ]
-        try:
-            with self.profiler.phase("optimize"):
-                return self.executor.map(
-                    _comparison_task,
-                    payloads,
-                    labels=[graph.name for graph in graphs],
-                )
-        except ExecutionError as exc:
-            names = ", ".join(failure.label for failure in exc.failures[:5])
-            raise DatasetError(
-                f"evaluation failed for {len(exc.failures)} graph(s): {names}"
-            ) from exc
-
-    def _evaluate_batched(
-        self,
-        graphs: Sequence[Graph],
-        random_strategy: InitializationStrategy,
-        strategy: InitializationStrategy,
-        seeds: Sequence[int],
-    ) -> List[WarmStartComparison]:
-        """One task per size bucket; all instances in lock step."""
+        """One task per size bucket; all rows of a bucket in one stack."""
         with self.profiler.phase("prepare"):
-            buckets = _size_buckets(graphs, self.max_bucket)
+            buckets = _size_buckets(graphs, MAX_STACK_ROWS)
             payloads = []
             labels = []
             for bucket in buckets:
@@ -468,9 +363,8 @@ class WarmStartEvaluator:
                         random_strategy,
                         strategy,
                         self.p,
-                        self._batched_optimizer,
+                        self.optimizer,
                         self.optimizer_iters,
-                        self.runner.tol,
                         self.problem_cache,
                     )
                 )

@@ -1,12 +1,6 @@
 """QAOA core: simulator, gradients, optimizers, initialization, runner."""
 
 from repro.qaoa.simulator import QAOASimulator
-from repro.qaoa.batched import (
-    BatchedAdamOptimizer,
-    BatchedGradientDescentOptimizer,
-    BatchedOptimizationResult,
-    BatchedQAOASimulator,
-)
 from repro.qaoa.ansatz import build_qaoa_circuit, qaoa_resource_counts
 from repro.qaoa.analytic import (
     p1_edge_expectation,
@@ -64,10 +58,6 @@ from repro.qaoa.interp import (
 
 __all__ = [
     "QAOASimulator",
-    "BatchedAdamOptimizer",
-    "BatchedGradientDescentOptimizer",
-    "BatchedOptimizationResult",
-    "BatchedQAOASimulator",
     "build_qaoa_circuit",
     "qaoa_resource_counts",
     "p1_edge_expectation",

@@ -32,6 +32,7 @@ from repro.graphs.generators import random_regular_graph
 from repro.graphs.graph import Graph
 from repro.maxcut.problem import MaxCutProblem
 from repro.qaoa.analytic import p1_optimal_angles_regular
+from repro.qaoa.optimizers import AdamOptimizer
 from repro.qaoa.simulator import QAOASimulator
 from repro.utils.rng import RngLike
 
@@ -124,23 +125,9 @@ class FixedAngleTable:
     def _transfer_angles(self, degree: int, p: int) -> FixedAngles:
         """Optimize shared angles over an ensemble of random d-regular graphs."""
         rng = self._entry_rng(degree, p)
-        ensemble = self._ensemble(degree, rng)
-        simulators = [QAOASimulator(problem) for problem in ensemble]
-        optima = np.array([sim.problem.max_cut_value() for sim in simulators])
-
-        def mean_ratio_and_grad(gammas, betas):
-            total_ratio = 0.0
-            grad_g = np.zeros(p)
-            grad_b = np.zeros(p)
-            for sim, optimum in zip(simulators, optima):
-                value, gg, gb = sim.expectation_and_gradient(gammas, betas)
-                total_ratio += value / optimum
-                grad_g += gg / optimum
-                grad_b += gb / optimum
-            k = len(simulators)
-            return total_ratio / k, grad_g / k, grad_b / k
-
-        best: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
+        objective = _EnsembleRatio(self._ensemble(degree, rng))
+        optimizer = AdamOptimizer(learning_rate=0.05)
+        best = None
         for restart in range(self.restarts):
             if restart == 0:
                 # Seed with the p=1 closed form replicated and jittered.
@@ -150,19 +137,17 @@ class FixedAngleTable:
             else:
                 gammas = rng.uniform(0.0, np.pi / 2, size=p)
                 betas = rng.uniform(0.0, np.pi / 4, size=p)
-            optimizer = _EnsembleAdam(learning_rate=0.05)
-            gammas, betas, ratio = optimizer.run(
-                mean_ratio_and_grad, gammas, betas, self.optimizer_iters
+            result = optimizer.run(
+                objective, gammas, betas, max_iters=self.optimizer_iters
             )
-            if best is None or ratio > best[0]:
-                best = (ratio, gammas, betas)
-        ratio, gammas, betas = best
+            if best is None or result.expectation > best.expectation:
+                best = result
         return FixedAngles(
             degree=degree,
             p=p,
-            gammas=tuple(float(g) for g in gammas),
-            betas=tuple(float(b) for b in betas),
-            mean_ratio=float(ratio),
+            gammas=tuple(float(g) for g in best.gammas),
+            betas=tuple(float(b) for b in best.betas),
+            mean_ratio=float(best.expectation),
         )
 
     def _ensemble(self, degree: int, rng: np.random.Generator):
@@ -187,34 +172,40 @@ class FixedAngleTable:
         return problems
 
 
-class _EnsembleAdam:
-    """Adam ascent on an arbitrary (value, grad_gamma, grad_beta) oracle."""
+class _EnsembleRatio:
+    """Mean approximation ratio of *shared* angles over an ensemble.
 
-    def __init__(self, learning_rate: float = 0.05):
-        self.learning_rate = learning_rate
+    The ensemble's graphs share one node count, so they run as one
+    simulator stack; the objective exposes the single-problem
+    ``expectation``/``expectation_and_gradient`` pair, so the one
+    :class:`~repro.qaoa.optimizers.AdamOptimizer` drives it.
+    """
 
-    def run(self, oracle, gammas, betas, max_iters):
-        p = len(gammas)
-        m = np.zeros(2 * p)
-        v = np.zeros(2 * p)
-        best_ratio = -np.inf
-        best = (np.asarray(gammas).copy(), np.asarray(betas).copy())
-        gammas = np.asarray(gammas, dtype=np.float64).copy()
-        betas = np.asarray(betas, dtype=np.float64).copy()
-        for step in range(1, max_iters + 1):
-            ratio, grad_g, grad_b = oracle(gammas, betas)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best = (gammas.copy(), betas.copy())
-            gradient = np.concatenate([grad_g, grad_b])
-            m = 0.9 * m + 0.1 * gradient
-            v = 0.999 * v + 0.001 * gradient**2
-            m_hat = m / (1 - 0.9**step)
-            v_hat = v / (1 - 0.999**step)
-            update = self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-            gammas = gammas + update[:p]
-            betas = betas + update[p:]
-        return best[0], best[1], best_ratio
+    def __init__(self, problems):
+        self.simulator = QAOASimulator(list(problems))
+        self._optima = np.array([pr.max_cut_value() for pr in problems])
+
+    def _rows(self, gammas, betas):
+        rows = len(self._optima)
+        return (
+            np.tile(np.asarray(gammas, dtype=np.float64), (rows, 1)),
+            np.tile(np.asarray(betas, dtype=np.float64), (rows, 1)),
+        )
+
+    def expectation(self, gammas, betas) -> float:
+        values = self.simulator.expectation(*self._rows(gammas, betas))
+        return float(np.mean(values / self._optima))
+
+    def expectation_and_gradient(self, gammas, betas):
+        values, grad_g, grad_b = self.simulator.expectation_and_gradient(
+            *self._rows(gammas, betas)
+        )
+        scale = self._optima[:, None]
+        return (
+            float(np.mean(values / self._optima)),
+            np.mean(grad_g / scale, axis=0),
+            np.mean(grad_b / scale, axis=0),
+        )
 
 
 _DEFAULT_TABLE: Optional[FixedAngleTable] = None

@@ -125,15 +125,16 @@ class PauliTrajectoryModel:
         return total / self.trajectories
 
     def _single_trajectory(self, gammas, betas) -> float:
-        from repro.qaoa.simulator import _apply_mixer
+        from repro.qaoa.simulator import _mixer_into
 
         n = self.simulator.num_qubits
         diag = self.simulator.problem.cost_diagonal()
         dim = 1 << n
         psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
         for gamma, beta in zip(gammas, betas):
-            psi = psi * np.exp(-1j * gamma * diag)
-            psi = _apply_mixer(psi, n, beta)
+            phased = (psi * np.exp(-1j * gamma * diag)).reshape(1, dim)
+            mixed = np.empty_like(phased)
+            psi = _mixer_into(phased, mixed, n, np.array([beta]))[0]
             psi = self._inject_errors(psi, n)
         return float(np.real(np.vdot(psi, diag * psi)))
 

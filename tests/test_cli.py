@@ -255,6 +255,10 @@ class TestTrainingFlags:
             ["serve", "--shed-factor", "2"],
             ["serve", "--l1-cache-size", "2048"],
             ["serve", "--cache-snapshot", "cache.json"],
+            ["evaluate", "--model", "m.json", "--dataset", "ds.json",
+             "--batched"],
+            ["evaluate", "--model", "m.json", "--dataset", "ds.json",
+             "--max-bucket", "8"],
         ],
     )
     def test_removed_command_and_flags_are_rejected(self, argv):

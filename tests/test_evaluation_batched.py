@@ -1,9 +1,9 @@
-"""Batched warm-start evaluation engine vs the serial engine.
+"""Warm-start evaluation on the stacked engine.
 
-The batched engine must run the *same experiment* as the serial one —
-identical seed derivation, hence identical initial angles per arm — and
-agree on every per-graph ratio within ``1e-10`` (the numerical contract
-of :mod:`repro.qaoa.batched`).
+Both arms of every same-size graph share one simulator stack. Rows never
+mix, so every ratio is *identical* to running that arm alone through
+:meth:`QAOARunner.run` with the same seed (the "serial" reference below),
+whatever the stack cap splits the buckets into.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from repro.graphs.generators import random_connected_graph
 from repro.maxcut.cache import ProblemCache
+from repro.pipeline import evaluation
 from repro.pipeline.evaluation import (
     EvaluationResult,
     WarmStartComparison,
@@ -18,10 +19,18 @@ from repro.pipeline.evaluation import (
     _size_buckets,
 )
 from repro.profiling import EvaluationProfiler
-from repro.qaoa.initialization import ConstantInitialization
-from repro.runtime import ParallelExecutor
+from repro.qaoa.initialization import (
+    ConstantInitialization,
+    RandomInitialization,
+)
+from repro.qaoa.optimizers import AdamOptimizer
+from repro.qaoa.runner import QAOARunner
+from repro.runtime import ParallelExecutor, derive_task_seeds, task_rng
+from repro.utils.rng import ensure_rng
 
-TOL = 1e-10
+ITERS = 12
+SEED = 123
+STRATEGY = ConstantInitialization(0.6, 0.4)
 
 
 @pytest.fixture(scope="module")
@@ -37,23 +46,49 @@ def mixed_graphs():
     return graphs
 
 
-def _evaluate(graphs, batched, seed=123, **kwargs):
+def _evaluate(graphs, seed=SEED, **kwargs):
     evaluator = WarmStartEvaluator(
-        p=1, optimizer_iters=12, rng=seed, batched=batched, **kwargs
+        p=1, optimizer_iters=ITERS, rng=seed, **kwargs
     )
-    return evaluator.evaluate_strategy(
-        graphs, ConstantInitialization(0.6, 0.4), "const"
-    )
+    return evaluator.evaluate_strategy(graphs, STRATEGY, "const")
 
 
-def _assert_engines_agree(serial, batched):
-    assert len(serial.comparisons) == len(batched.comparisons)
-    for a, b in zip(serial.comparisons, batched.comparisons):
-        assert a.graph_name == b.graph_name
-        assert abs(a.random_ratio - b.random_ratio) < TOL
-        assert abs(a.strategy_ratio - b.strategy_ratio) < TOL
-        assert abs(a.random_initial_ratio - b.random_initial_ratio) < TOL
-        assert abs(a.strategy_initial_ratio - b.strategy_initial_ratio) < TOL
+def _serial_reference(graphs, seed=SEED):
+    """Each arm run alone through ``QAOARunner.run`` with the seed the
+    evaluator derives for it (two per graph, in graph order)."""
+    seeds = derive_task_seeds(ensure_rng(seed), 2 * len(graphs))
+    runner = QAOARunner(
+        p=1, optimizer=AdamOptimizer(learning_rate=0.05), max_iters=ITERS
+    )
+    comparisons = []
+    for i, graph in enumerate(graphs):
+        random_arm = runner.run(
+            graph, RandomInitialization(), task_rng(seeds[2 * i])
+        )
+        strategy_arm = runner.run(graph, STRATEGY, task_rng(seeds[2 * i + 1]))
+        comparisons.append(
+            (
+                graph.name,
+                random_arm.approximation_ratio,
+                strategy_arm.approximation_ratio,
+                random_arm.initial_approximation_ratio,
+                strategy_arm.initial_approximation_ratio,
+            )
+        )
+    return comparisons
+
+
+def _rows(result):
+    return [
+        (
+            c.graph_name,
+            c.random_ratio,
+            c.strategy_ratio,
+            c.random_initial_ratio,
+            c.strategy_initial_ratio,
+        )
+        for c in result.comparisons
+    ]
 
 
 class TestSizeBuckets:
@@ -62,7 +97,7 @@ class TestSizeBuckets:
             random_connected_graph(n, rng=n, name=f"g{i}")
             for i, n in enumerate([5, 6, 5, 7, 6, 5])
         ]
-        buckets = _size_buckets(graphs, max_bucket=64)
+        buckets = _size_buckets(graphs, 64)
         # One bucket per distinct size, preserving input order inside.
         assert sorted(map(tuple, buckets)) == [(0, 2, 5), (1, 4), (3,)]
 
@@ -70,8 +105,8 @@ class TestSizeBuckets:
         graphs = [
             random_connected_graph(5, rng=i, name=f"g{i}") for i in range(5)
         ]
-        # max_bucket=4 rows -> 2 graphs per bucket.
-        buckets = _size_buckets(graphs, max_bucket=4)
+        # A cap of 4 rows -> 2 graphs per bucket.
+        buckets = _size_buckets(graphs, 4)
         assert [len(b) for b in buckets] == [2, 2, 1]
 
     def test_minimum_one_graph_per_bucket(self):
@@ -83,59 +118,54 @@ class TestSizeBuckets:
 
 class TestBatchedEvaluator:
     def test_matches_serial_on_mixed_sizes(self, mixed_graphs):
-        serial = _evaluate(mixed_graphs, batched=False)
-        batched = _evaluate(mixed_graphs, batched=True)
-        _assert_engines_agree(serial, batched)
+        assert _rows(_evaluate(mixed_graphs)) == _serial_reference(
+            mixed_graphs
+        )
 
-    def test_bucket_splitting_does_not_change_results(self, mixed_graphs):
-        # max_bucket=2 degenerates to one graph per stack (K=2 rows);
-        # results must not depend on the split.
-        whole = _evaluate(mixed_graphs, batched=True, max_bucket=64)
-        split = _evaluate(mixed_graphs, batched=True, max_bucket=2)
-        _assert_engines_agree(whole, split)
+    def test_bucket_splitting_does_not_change_results(
+        self, mixed_graphs, monkeypatch
+    ):
+        # A 2-row cap degenerates to one graph per stack; results must
+        # not depend on the split.
+        whole = _rows(_evaluate(mixed_graphs))
+        monkeypatch.setattr(evaluation, "MAX_STACK_ROWS", 2)
+        split = _rows(_evaluate(mixed_graphs))
+        assert split == whole
 
     def test_single_graph_test_set(self):
         graph = [random_connected_graph(6, rng=1, name="solo")]
-        serial = _evaluate(graph, batched=False)
-        batched = _evaluate(graph, batched=True)
-        _assert_engines_agree(serial, batched)
+        assert _rows(_evaluate(graph)) == _serial_reference(graph)
 
     def test_thread_backend_matches(self, mixed_graphs):
-        serial = _evaluate(mixed_graphs, batched=True)
-        threaded = _evaluate(
-            mixed_graphs,
-            batched=True,
-            executor=ParallelExecutor(backend="thread", max_workers=2),
+        serial = _rows(_evaluate(mixed_graphs))
+        threaded = _rows(
+            _evaluate(
+                mixed_graphs,
+                executor=ParallelExecutor(backend="thread", max_workers=2),
+            )
         )
-        _assert_engines_agree(serial, threaded)
+        assert threaded == serial
 
-    def test_max_bucket_validation(self):
-        with pytest.raises(ValueError, match="max_bucket"):
-            WarmStartEvaluator(batched=True, max_bucket=1)
+    def test_engine_switches_are_gone(self):
+        for removed in ({"batched": True}, {"max_bucket": 8}):
+            with pytest.raises(TypeError):
+                WarmStartEvaluator(**removed)
 
     def test_problem_cache_shared_across_sweeps(self, mixed_graphs):
-        # Within a sweep both arms share one simulator (a single cache
+        # Within a sweep both arms share one problem (a single cache
         # lookup per graph); a second sweep over the same graphs — the
         # multi-architecture comparison — must hit for every graph.
         cache = ProblemCache()
-        _evaluate(mixed_graphs, batched=False, problem_cache=cache)
+        _evaluate(mixed_graphs, problem_cache=cache)
         assert cache.misses == len(mixed_graphs)
         assert cache.hits == 0
-        _evaluate(mixed_graphs, batched=False, problem_cache=cache)
+        _evaluate(mixed_graphs, problem_cache=cache)
         assert cache.misses == len(mixed_graphs)
         assert cache.hits == len(mixed_graphs)
 
-    def test_problem_cache_shared_between_engines(self, mixed_graphs):
-        # The batched engine resolves problems through the same cache.
-        cache = ProblemCache()
-        _evaluate(mixed_graphs, batched=False, problem_cache=cache)
-        _evaluate(mixed_graphs, batched=True, problem_cache=cache)
-        assert cache.misses == len(mixed_graphs)
-        assert cache.hits >= len(mixed_graphs)
-
     def test_profiler_records_phases(self, mixed_graphs):
         profiler = EvaluationProfiler()
-        _evaluate(mixed_graphs, batched=True, profiler=profiler)
+        _evaluate(mixed_graphs, profiler=profiler)
         phases = profiler.report()["phases"]
         assert {"prepare", "optimize", "aggregate"} <= set(phases)
         assert "evaluation profile" in profiler.format_report()

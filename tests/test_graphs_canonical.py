@@ -189,3 +189,32 @@ class TestValidation:
     def test_single_node(self):
         digest = wl_canonical_hash(Graph(1, ()))
         assert len(digest) == 64
+
+
+class TestCacheKeyClaim:
+    """The serving cache keys on this hash, so two graphs with one key
+    get one answer. That is sound only where the model's output is a
+    function of the 1-WL class: under ``wl_histogram`` features, whose
+    inputs are 1-WL colors themselves."""
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "gin", "sage"])
+    def test_wl_histogram_outputs_agree_within_a_hash_class(self, arch):
+        from repro.gnn.predictor import QAOAParameterPredictor
+
+        cycle = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        regular = random_regular_graph(8, 3, rng=3)
+        irregular = random_connected_graph(9, rng=5)
+        pairs = [
+            (cycle, triangles),  # 1-WL twins, not isomorphic
+            (regular, relabel(regular, np.random.default_rng(1).permutation(8))),
+            (irregular, relabel(irregular, np.random.default_rng(2).permutation(9))),
+        ]
+        model = QAOAParameterPredictor(
+            arch=arch, p=2, feature_kind="wl_histogram", rng=42
+        )
+        for a, b in pairs:
+            assert wl_canonical_hash(a) == wl_canonical_hash(b)
+            out = model.predict([a, b])
+            # Equal up to the order of float sums over relabeled nodes.
+            np.testing.assert_allclose(out[0], out[1], atol=1e-12, rtol=0.0)

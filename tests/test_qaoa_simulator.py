@@ -135,3 +135,43 @@ class TestGradients:
         fd_gamma, fd_beta = simulator.gradient_finite_difference(gammas, betas)
         assert np.allclose(grad_gamma, fd_gamma, atol=1e-6)
         assert np.allclose(grad_beta, fd_beta, atol=1e-6)
+
+
+class TestGradientCallHook:
+    """perfbench times the simulator by wrapping
+    ``QAOASimulator.expectation_and_gradient`` on the class; labeling and
+    evaluation must reach the simulator through that one name, once per
+    optimizer step."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        original = QAOASimulator.expectation_and_gradient
+
+        def wrapper(self, gammas, betas):
+            calls.append(np.shape(gammas))
+            return original(self, gammas, betas)
+
+        monkeypatch.setattr(QAOASimulator, "expectation_and_gradient", wrapper)
+        return calls
+
+    def test_labeling_calls_the_gradient_once_per_iteration(self, monkeypatch):
+        from repro.data.generation import label_graph
+
+        calls = self._count_calls(monkeypatch)
+        label_graph(random_regular_graph(8, 3, rng=4), optimizer_iters=7, rng=0)
+        assert calls == [(1,)] * 7
+
+    def test_evaluation_calls_the_gradient_once_per_iteration_per_bucket(
+        self, monkeypatch
+    ):
+        from repro.pipeline.evaluation import WarmStartEvaluator
+        from repro.qaoa.initialization import ConstantInitialization
+
+        graphs = [random_regular_graph(n, 3, rng=n) for n in (6, 8, 6, 8, 10)]
+        calls = self._count_calls(monkeypatch)
+        WarmStartEvaluator(p=1, optimizer_iters=5, rng=0).evaluate_strategy(
+            graphs, ConstantInitialization(0.6, 0.4)
+        )
+        # Three node counts -> three buckets of 4, 4 and 2 rows.
+        assert sorted(calls) == sorted([(4, 1)] * 10 + [(2, 1)] * 5)

@@ -1,23 +1,30 @@
-"""Equivalence tests for the optimized simulator kernels.
+"""Equivalence tests for the simulator kernels.
 
-The fast mixer contracts qubit groups against closed-form ``RX^(tensor
-g)`` matrices via gemm plus contiguous butterflies; these tests pin it
-against two independent oracles — the gate-by-gate ``apply_gate`` path
-with the RX matrix, and the original ``np.flip`` reference kernels —
-plus the finite-difference gradient oracle after the kernel swap.
+The mixer contracts qubit groups against closed-form ``RX^(tensor g)``
+matrices via gemm plus contiguous butterflies, on a ``(K, 2^n)`` stack;
+these tests run it on one-row stacks and pin it against two independent
+oracles — the gate-by-gate ``apply_gate`` path with the RX matrix, and
+the ``np.flip`` reference kernels — plus the finite-difference gradient
+oracle. The group tables the kernels share are read-only constants, so
+simulators on many threads give the single-thread bytes.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.graphs.generators import random_regular_graph
 from repro.qaoa.simulator import (
+    _GROUP_BITS,
+    _GROUP_POPCOUNTS,
+    _SUM_X_GROUPS,
     QAOASimulator,
-    _apply_mixer,
-    _apply_mixer_into,
     _apply_mixer_reference,
-    _apply_sum_x,
     _apply_sum_x_reference,
+    _mixer_into,
+    _sum_x_into,
 )
 from repro.quantum.gates import rx
 from repro.quantum.statevector import Statevector
@@ -27,6 +34,19 @@ def _random_state(num_qubits, rng):
     dim = 1 << num_qubits
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def _mixer(psi, num_qubits, beta):
+    """The stacked mixer kernel on a one-row stack."""
+    src = np.ascontiguousarray(psi, dtype=np.complex128).reshape(1, -1)
+    dst = np.empty_like(src)
+    return _mixer_into(src, dst, num_qubits, np.array([beta]))[0]
+
+
+def _sum_x(psi, num_qubits):
+    src = np.ascontiguousarray(psi, dtype=np.complex128).reshape(1, -1)
+    out = np.empty_like(src)
+    return _sum_x_into(src, num_qubits, out)[0]
 
 
 class TestMixerKernel:
@@ -39,7 +59,7 @@ class TestMixerKernel:
             oracle = Statevector(num_qubits, psi)
             for qubit in range(num_qubits):
                 oracle.apply_gate(rx(2.0 * beta), [qubit])
-            fast = _apply_mixer(psi, num_qubits, beta)
+            fast = _mixer(psi, num_qubits, beta)
             np.testing.assert_allclose(
                 fast, oracle.data, atol=1e-12, rtol=0.0
             )
@@ -50,7 +70,7 @@ class TestMixerKernel:
         psi = _random_state(num_qubits, rng)
         for beta in rng.uniform(-np.pi, np.pi, size=3):
             np.testing.assert_allclose(
-                _apply_mixer(psi, num_qubits, beta),
+                _mixer(psi, num_qubits, beta),
                 _apply_mixer_reference(psi, num_qubits, beta),
                 atol=1e-12,
                 rtol=0.0,
@@ -61,27 +81,19 @@ class TestMixerKernel:
         """Every group split (gemm-only, two-gemm, gemm+butterfly)."""
         rng = np.random.default_rng(3)
         psi = _random_state(num_qubits, rng)
-        src = psi.copy()
-        dst = np.empty(psi.size, dtype=np.complex128)
-        scratch = np.empty(psi.size, dtype=np.complex128)
-        out = _apply_mixer_into(src, dst, num_qubits, 0.4, scratch)
+        src = psi.copy().reshape(1, -1)
+        dst = np.empty_like(src)
+        out = _mixer_into(src, dst, num_qubits, np.array([0.4]))
         assert out is dst
-        np.testing.assert_array_equal(src, psi)  # src untouched
+        np.testing.assert_array_equal(src[0], psi)  # src untouched
         np.testing.assert_allclose(
-            out, _apply_mixer_reference(psi, num_qubits, 0.4), atol=1e-12
+            out[0], _apply_mixer_reference(psi, num_qubits, 0.4), atol=1e-12
         )
-
-    def test_out_of_place_wrapper_leaves_input_untouched(self):
-        rng = np.random.default_rng(4)
-        psi = _random_state(6, rng)
-        before = psi.copy()
-        _apply_mixer(psi, 6, 1.1)
-        np.testing.assert_array_equal(psi, before)
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
         psi = _random_state(8, rng)
-        out = _apply_mixer(psi, 8, 0.73)
+        out = _mixer(psi, 8, 0.73)
         assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
@@ -91,11 +103,67 @@ class TestSumXKernel:
         rng = np.random.default_rng(300 + num_qubits)
         psi = _random_state(num_qubits, rng)
         np.testing.assert_allclose(
-            _apply_sum_x(psi, num_qubits),
+            _sum_x(psi, num_qubits),
             _apply_sum_x_reference(psi, num_qubits),
             atol=1e-12,
             rtol=0.0,
         )
+
+
+class TestGroupTables:
+    @pytest.mark.parametrize("k", range(_GROUP_BITS + 1))
+    def test_tables_are_read_only_and_follow_the_popcount(self, k):
+        size = 1 << k
+        popcount = np.array(
+            [[bin(i ^ j).count("1") for j in range(size)] for i in range(size)]
+        )
+        assert not _GROUP_POPCOUNTS[k].flags.writeable
+        assert not _SUM_X_GROUPS[k].flags.writeable
+        np.testing.assert_array_equal(_GROUP_POPCOUNTS[k], popcount)
+        np.testing.assert_array_equal(_SUM_X_GROUPS[k], popcount == 1)
+        with pytest.raises(ValueError):
+            _SUM_X_GROUPS[k][...] = 0.0
+
+    def test_concurrent_fresh_simulators_give_single_thread_bytes(self):
+        """Eight threads, each building simulators and gradients from
+        scratch while the interpreter switches threads constantly."""
+        cases = [
+            (random_regular_graph(n, 3, rng=n), np.array([0.4, 0.9]),
+             np.array([0.3, 0.1]))
+            for n in (4, 6, 8, 10, 12, 14)
+        ]
+
+        def gradients():
+            out = []
+            for graph, gammas, betas in cases:
+                e, gg, gb = QAOASimulator(graph).expectation_and_gradient(
+                    gammas, betas
+                )
+                out.append(np.float64(e).tobytes() + gg.tobytes() + gb.tobytes())
+            return out
+
+        expected = gradients()
+        results = [None] * 8
+        start = threading.Barrier(8)
+
+        def worker(i):
+            start.wait(timeout=10.0)
+            results[i] = gradients()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == expected for result in results)
 
 
 class TestGradientAfterKernelSwap:
